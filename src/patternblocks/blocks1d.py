@@ -43,7 +43,7 @@ def rect_block(
     def contains(point, y):
         return x_lo <= point[0] <= x_hi and y_lo <= y <= y_hi
 
-    return PatternBlock(measure, sample, contains, label or "rect")
+    return PatternBlock(measure, sample, contains, label or "rect", height_band=(y_lo, y_hi))
 
 
 def envelope_block(
@@ -246,7 +246,7 @@ def ziggurat_base_block(
             return True
         return x >= r and y <= f(x)
 
-    return PatternBlock(v, sample, contains, label)
+    return PatternBlock(v, sample, contains, label, height_band=(0.0, f_r))
 
 
 def ziggurat_blockset(layout: ZigguratLayout, f: Callable[[float], float]) -> BlockSet:

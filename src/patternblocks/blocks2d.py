@@ -49,7 +49,7 @@ def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> Pattern
             and y_lo <= y <= y_hi
         )
 
-    return PatternBlock(measure, sample, contains, label or "slab")
+    return PatternBlock(measure, sample, contains, label or "slab", height_band=(y_lo, y_hi))
 
 
 def cylinder_block(
@@ -84,7 +84,9 @@ def cylinder_block(
         dy = point[1] - c2
         return dx * dx + dy * dy <= r2 and y_lo <= y <= y_hi
 
-    return PatternBlock(measure, sample, contains, label or "cylinder")
+    return PatternBlock(
+        measure, sample, contains, label or "cylinder", height_band=(y_lo, y_hi)
+    )
 
 
 def superlevel_block(
@@ -147,8 +149,9 @@ def superlevel_block(
     def contains(point, y):
         return y_lo <= y <= y_hi and f_xy(point[0], point[1]) >= level
 
-    block = PatternBlock(measure, sample, contains, label or "superlevel")
-    return block
+    return PatternBlock(
+        measure, sample, contains, label or "superlevel", height_band=(y_lo, y_hi)
+    )
 
 
 def _assert_box_adequate(level, bounding_rect, f_xy, domain_rect, cells_per_axis):

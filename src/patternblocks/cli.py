@@ -123,7 +123,16 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_validate(args) -> int:
+    if args.n < 1:
+        return _usage_error("validate needs --n of at least 1")
+    if args.bins is not None and args.bins < 2:
+        return _usage_error("--bins must be at least 2")
     density, blockset, probe_bounds, binning = _build(args.dist, args.layers)
     report = validate_blockset(
         blockset, density, n_probe=VALIDATE_COVER_PROBES, probe_bounds=probe_bounds
@@ -134,10 +143,13 @@ def cmd_validate(args) -> int:
     except RejectionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    bins = args.bins or _default_bins(density)
+    bins = args.bins if args.bins is not None else _default_bins(density)
     edges, probs = binning(bins)
     samples = np.asarray(points)[:, 0] if density.dim == 1 else np.asarray(points)
-    gof = numeric.chi_square_gof(samples, edges, probs)
+    try:
+        gof = numeric.chi_square_gof(samples, edges, probs)
+    except numeric.TooFewBinsError as exc:
+        return _usage_error(f"--n {args.n} is too small for --bins {bins} ({exc})")
     gof_ok = gof.p_value > args.significance
     passed = report.all_passed() and gof_ok
     doc = {
@@ -292,11 +304,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.layers < 2:
-        print("error: --layers must be at least 2", file=sys.stderr)
-        return 2
+        return _usage_error("--layers must be at least 2")
     if getattr(args, "n", 0) < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 2
+        return _usage_error("--n must be nonnegative")
     return args.func(args)
 
 

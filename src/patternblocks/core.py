@@ -62,16 +62,26 @@ class PatternBlock:
     ((coords...), height) distributed uniformly over the region. contains is
     an optional membership test used by statistical validation; a block
     without one cannot be probed for cover/overlap.
+
+    height_band is a closed interval (lo, hi) holding every height the
+    sampler returns and every height contains accepts. validate_blockset
+    probes a block for overlap only against blocks whose bands meet its
+    own, and fails when a sampled or accepted height falls outside the
+    declaring block's band. The unbounded default never prunes a probe.
     """
 
     measure: float
     sample_uniform: Callable[[UniformSource], tuple[Point, float]]
     contains: Optional[Callable[[Point, float], bool]] = None
     label: str = ""
+    height_band: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not (self.measure > 0.0 and math.isfinite(self.measure)):
             raise ValueError(f"block measure must be positive and finite, got {self.measure}")
+        lo, hi = self.height_band
+        if not lo <= hi:
+            raise ValueError(f"height band must satisfy lo <= hi, got {self.height_band}")
 
 
 class BlockSet:
@@ -208,8 +218,14 @@ def _probe_points(bounds, n_probe):
 
 
 def _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata):
+    # Each stratum remembers the block that last covered it and asks that
+    # block first: probes walk the grid in order, so a stratum's height
+    # moves slowly and the hint nearly always hits. Whether some block
+    # covers a probe does not depend on the order the blocks are asked in.
     blocks = blockset.blocks
+    tests = [b.contains for b in blocks]
     evaluate = density.evaluate
+    hints = [0] * height_strata
     violations = 0
     worst = 0.0
     checked = 0
@@ -222,9 +238,23 @@ def _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata):
             if y > fx - tolerance:
                 continue
             checked += 1
-            if not any(b.contains(point, y) for b in blocks):
-                violations += 1
-                worst = max(worst, fx - y)
+            hit = hints[j]
+            if not tests[hit](point, y):
+                hit = next(
+                    (k for k, test in enumerate(tests) if k != hit and test(point, y)),
+                    None,
+                )
+                if hit is None:
+                    violations += 1
+                    worst = max(worst, fx - y)
+                    continue
+                hints[j] = hit
+            lo, hi = blocks[hit].height_band
+            if y < lo or y > hi:
+                return CheckResult(
+                    "fail", f"{_block_name(blocks, hit)} contains height {y!r} "
+                    f"outside its height band [{lo!r}, {hi!r}]"
+                )
     if violations == 0:
         return CheckResult("pass", f"{checked} probes, 0 uncovered")
     return CheckResult(
@@ -233,20 +263,33 @@ def _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata):
 
 
 def _overlap_check(blockset, n_probe, tolerance, seed):
+    # A block can only contain heights inside its band, so each block is
+    # probed only against the blocks whose bands meet its own.
     blocks = blockset.blocks
     if len(blocks) == 1:
         return CheckResult("pass", "single block")
+    bands = [b.height_band for b in blocks]
     source = UniformSource(seed)
     per_block = max(100, n_probe // len(blocks))
     total = blockset.total_measure
     hits = 0
     weighted = 0.0
     for i, block in enumerate(blocks):
+        lo, hi = bands[i]
+        others = [
+            b.contains for j, b in enumerate(blocks)
+            if j != i and bands[j][0] <= hi and lo <= bands[j][1]
+        ]
         block_hits = 0
         for _ in range(per_block):
             point, y = block.sample_uniform(source)
-            for j, other in enumerate(blocks):
-                if j != i and other.contains(point, y):
+            if y < lo or y > hi:
+                return CheckResult(
+                    "fail", f"{_block_name(blocks, i)} sampled height {y!r} "
+                    f"outside its height band [{lo!r}, {hi!r}]"
+                )
+            for contains in others:
+                if contains(point, y):
                     block_hits += 1
         hits += block_hits
         # ordered-pair estimate of nu(B_i n B_j); halved below for i < j sums
@@ -257,6 +300,10 @@ def _overlap_check(blockset, n_probe, tolerance, seed):
     return CheckResult(
         "fail", f"{hits} double-hits, overlap fraction estimate {estimate:.3e}"
     )
+
+
+def _block_name(blocks, i):
+    return f"block {i} ({blocks[i].label!r})"
 
 
 class PatternBlockSampler:

@@ -19,6 +19,10 @@ from scipy.stats import chi2
 Rect = tuple[tuple[float, float], tuple[float, float]]
 
 
+class TooFewBinsError(ValueError):
+    """Too few samples for the bin layout: under 2 bins survive pooling."""
+
+
 class QuadratureError(RuntimeError):
     """Adaptive subdivision failed to reach the requested tolerance."""
 
@@ -237,7 +241,7 @@ def chi_square_gof(
             exp_eff[k] += pooled_exp
 
     if len(exp_eff) < 2:
-        raise ValueError("fewer than 2 effective bins after merging")
+        raise TooFewBinsError("fewer than 2 effective bins after merging")
     obs_arr = np.asarray(obs_eff)
     exp_arr = np.asarray(exp_eff)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())

@@ -215,6 +215,19 @@ def test_usage_errors_exit_two(capsys):
     code = main(["sample", "--dist", "arcsine-mod", "--n", "-5"])
     assert code == 2
     capsys.readouterr()
+    for argv in (
+        ["--bins", "0"],
+        ["--bins", "1"],
+        ["--bins", "-3"],
+        ["--n", "0"],
+        ["--n", "5", "--bins", "64"],
+    ):
+        code, out, err = run_cli(
+            capsys, "validate", "--dist", "arcsine-mod", "--n", "1000", *argv
+        )
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_zigg_table_bisection_failure_exit_code(capsys, monkeypatch):

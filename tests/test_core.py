@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patternblocks import distributions
 from patternblocks.blocks1d import rect_block
+from patternblocks.blocks2d import cylinder_block
 from patternblocks.core import (
     BlockSet,
+    CheckResult,
     Density,
     PatternBlock,
     PatternBlockSampler,
@@ -270,3 +274,185 @@ def test_validate_needs_finite_probe_bounds(half_normal_density, zigg_blocks):
         probe_bounds=((0.0, 8.0),),
     )
     assert report.all_passed()
+
+
+# ---------------------------------------------------------------------------
+# validation against a brute-force reference
+#
+# validate_blockset asks a remembered block first in the cover scan and
+# probes only band-meeting blocks for overlap. The reference below asks
+# every block for every probe, so the two must report the same results.
+
+
+def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, strata=8):
+    violations = 0
+    worst = 0.0
+    checked = 0
+    if len(bounds) == 1:
+        (lo, hi), = bounds
+        step = (hi - lo) / n_probe
+        points = [(lo + (k + 0.5) * step,) for k in range(n_probe)]
+    else:
+        (x_lo, x_hi), (y_lo, y_hi) = bounds
+        per_axis = max(1, math.isqrt(n_probe))
+        sx = (x_hi - x_lo) / per_axis
+        sy = (y_hi - y_lo) / per_axis
+        points = [
+            (x_lo + (i + 0.5) * sx, y_lo + (j + 0.5) * sy)
+            for i in range(per_axis)
+            for j in range(per_axis)
+        ]
+    for point in points:
+        fx = density.evaluate(point)
+        if not (fx > tolerance) or math.isinf(fx):
+            continue
+        for j in range(strata):
+            y = fx * (j + 0.5) / strata
+            if y > fx - tolerance:
+                continue
+            checked += 1
+            if not any(b.contains(point, y) for b in blockset.blocks):
+                violations += 1
+                worst = max(worst, fx - y)
+    if violations == 0:
+        return CheckResult("pass", f"{checked} probes, 0 uncovered")
+    return CheckResult(
+        "fail", f"{violations} of {checked} probes uncovered, worst gap {worst:.3e}"
+    )
+
+
+def _reference_overlap(blockset, n_probe, tolerance=1e-12, seed=0):
+    blocks = blockset.blocks
+    if len(blocks) == 1:
+        return CheckResult("pass", "single block")
+    source = UniformSource(seed)
+    per_block = max(100, n_probe // len(blocks))
+    hits = 0
+    weighted = 0.0
+    for i, block in enumerate(blocks):
+        block_hits = 0
+        for _ in range(per_block):
+            point, y = block.sample_uniform(source)
+            block_hits += sum(
+                other.contains(point, y) for j, other in enumerate(blocks) if j != i
+            )
+        hits += block_hits
+        weighted += block.measure * block_hits / per_block
+    estimate = weighted / (2.0 * blockset.total_measure)
+    if estimate <= tolerance:
+        return CheckResult("pass", f"{per_block} probes/block, {hits} double-hits")
+    return CheckResult(
+        "fail", f"{hits} double-hits, overlap fraction estimate {estimate:.3e}"
+    )
+
+
+def _assert_matches_reference(blockset, density, n_probe, probe_bounds=None):
+    report = validate_blockset(blockset, density, n_probe=n_probe, probe_bounds=probe_bounds)
+    bounds = probe_bounds or density.domain_bounds
+    assert report.cover == _reference_cover(blockset, density, bounds, n_probe)
+    assert report.overlap == _reference_overlap(blockset, n_probe)
+    return report
+
+
+def _halved_radius_blocks(mixture_blocks):
+    # the top cylinder over the (0, 0) bump with half its radius
+    *rest, top = mixture_blocks.blocks
+    lo, hi = top.height_band
+    return BlockSet(rest + [cylinder_block((0.0, 0.0), 0.5, lo, hi)])
+
+
+def test_validate_matches_reference_on_shipped_covers(
+    arcsine_density, arcsine_blocks, mixture_density, mixture_blocks,
+    half_normal_density, zigg_blocks,
+):
+    for blockset, density, n_probe, bounds in (
+        (arcsine_blocks, arcsine_density, 20_000, None),
+        (mixture_blocks, mixture_density, 20_000, None),
+        (zigg_blocks, half_normal_density, 1_000, ((0.0, 8.0),)),
+    ):
+        report = _assert_matches_reference(blockset, density, n_probe, bounds)
+        assert report.all_passed()
+
+
+def test_validate_matches_reference_on_broken_covers(mixture_density, mixture_blocks):
+    density = _uniform_density()
+    uncovered = _assert_matches_reference(
+        BlockSet([rect_block(0.0, 0.5, 0.0, 1.0)]), density, 1000
+    )
+    assert uncovered.cover.status == "fail"
+    overlapping = _assert_matches_reference(
+        BlockSet([rect_block(0.0, 0.6, 0.0, 1.0), rect_block(0.4, 1.0, 0.0, 1.0)]),
+        density,
+        2000,
+    )
+    assert overlapping.overlap.status == "fail"
+    stacked = _assert_matches_reference(
+        BlockSet([rect_block(0.0, 1.0, 0.0, 0.6), rect_block(0.0, 1.0, 0.4, 1.0)]),
+        density,
+        2000,
+    )
+    assert stacked.overlap.status == "fail"
+    halved = _assert_matches_reference(
+        _halved_radius_blocks(mixture_blocks), mixture_density, 20_000
+    )
+    assert halved.cover.status == "fail"
+
+
+def test_validate_contains_budget(half_normal_density, zigg_blocks):
+    # brute force asks every block for every probe: 18,769,394 calls here
+    calls = 0
+
+    def counted(contains):
+        def wrapper(point, y):
+            nonlocal calls
+            calls += 1
+            return contains(point, y)
+
+        return wrapper
+
+    blockset = BlockSet(
+        [dataclasses.replace(b, contains=counted(b.contains)) for b in zigg_blocks.blocks]
+    )
+    report = validate_blockset(
+        blockset, half_normal_density, n_probe=20_000, probe_bounds=((0.0, 8.0),)
+    )
+    assert report.all_passed()
+    assert calls <= 300_000
+
+
+def test_constructors_declare_height_bands(zigg_layout, zigg_blocks, mixture_blocks):
+    assert rect_block(0.0, 1.0, 0.25, 0.75).height_band == (0.25, 0.75)
+    assert zigg_blocks.blocks[-1].height_band == (0.0, zigg_layout.f_at_x[-1])
+    assert [b.height_band for b in mixture_blocks.blocks[:2]] == [
+        (0.0, distributions.DEFAULT_LEVELS.b0),
+        (distributions.DEFAULT_LEVELS.b0, distributions.DEFAULT_LEVELS.b1),
+    ]
+    assert PatternBlock(1.0, lambda s: ((0.0,), 0.0)).height_band == (-math.inf, math.inf)
+    with pytest.raises(ValueError):
+        PatternBlock(1.0, lambda s: ((0.0,), 0.0), height_band=(1.0, 0.0))
+
+
+def test_validate_flags_samples_outside_declared_band():
+    # the upper block claims (0.5, 1) but samples the whole unit square
+    blocks = [
+        rect_block(0.0, 1.0, 0.0, 0.5, label="low"),
+        dataclasses.replace(
+            rect_block(0.0, 1.0, 0.0, 1.0, label="liar"), height_band=(0.5, 1.0)
+        ),
+    ]
+    report = validate_blockset(BlockSet(blocks), _uniform_density(), n_probe=1000)
+    assert report.overlap.status == "fail"
+    assert "block 1 ('liar') sampled height" in report.overlap.detail
+
+
+def test_validate_flags_contains_outside_declared_band():
+    # the lower block samples inside its band but its membership test
+    # accepts the whole unit square
+    low = rect_block(0.0, 1.0, 0.0, 0.5)
+    liar = dataclasses.replace(
+        low, contains=rect_block(0.0, 1.0, 0.0, 1.0).contains, label="liar"
+    )
+    blocks = [liar, rect_block(0.0, 1.0, 0.5, 1.0, label="high")]
+    report = validate_blockset(BlockSet(blocks), _uniform_density(), n_probe=1000)
+    assert report.cover.status == "fail"
+    assert "block 0 ('liar') contains height" in report.cover.detail
