@@ -12,73 +12,30 @@ import argparse
 import json
 import math
 import sys
-import threading
 import time
 from dataclasses import asdict
 
 import numpy as np
 
 from . import distributions, numeric
-from .blocks1d import ZigguratError, ziggurat_blockset
+from .blocks1d import ZigguratError
 from .core import PatternBlockSampler, RejectionCapError, exact_adoption_rate, validate_blockset
-from .rng import UniformSource, derive_stream_seed
+from .rng import UniformSource
 
-DISTS = ("arcsine-mod", "gauss-mix-2d", "half-normal-zigg")
 VALIDATE_COVER_PROBES = 20_000
-ZIGG_PROBE_HI = 8.0  # density mass beyond this is ~1e-15, below any tolerance
+DEFAULT_BINS = {1: 64, 2: 16}  # chi-square bins per axis, by dimension
 
 
-def _build(dist: str, layers: int):
-    """(density, blockset, probe_bounds, binning) for a named distribution.
+def _draw(args, density):
+    """Build the cover of args.dist and draw args.n points on args.seed.
 
-    binning(bins) returns (bin_edges, expected_probs) with probabilities
-    computed by quadrature of the normalized density.
+    Returns (blockset, sampler, points, seconds spent sampling).
     """
-    if dist == "arcsine-mod":
-        density = distributions.arcsine_modulated_density()
-        blockset = distributions.arcsine_modulated_blockset()
-
-        def binning(bins):
-            edges = np.linspace(0.0, 1.0, bins + 1)
-            probs = numeric.bin_probabilities_1d(
-                distributions.arcsine_modulated_mass, edges
-            )
-            return edges, probs
-
-        return density, blockset, None, binning
-
-    if dist == "gauss-mix-2d":
-        density = distributions.gauss_mixture_density()
-        blockset = distributions.gauss_mixture_blockset()
-
-        def binning(bins):
-            edges = np.linspace(-4.0, 4.0, bins + 1)
-            probs = numeric.bin_probabilities_2d(
-                distributions.gauss_mixture_xy, distributions.MIX_DOMAIN, bins
-            )
-            return (edges, edges), probs
-
-        return density, blockset, None, binning
-
-    if dist == "half-normal-zigg":
-        layout = distributions.half_normal_ziggurat(layers)
-        density = distributions.half_normal_density()
-        blockset = ziggurat_blockset(layout, distributions.half_normal_pdf)
-
-        def binning(bins):
-            edges = np.linspace(0.0, ZIGG_PROBE_HI, bins + 1)
-            edges[-1] = np.inf
-            cdf_vals = [distributions.half_normal_cdf(e) for e in edges[:-1]] + [1.0]
-            probs = np.diff(cdf_vals)
-            return edges, probs / probs.sum()
-
-        return density, blockset, ((0.0, ZIGG_PROBE_HI),), binning
-
-    raise ValueError(f"unknown distribution {dist!r}")
-
-
-def _default_bins(density) -> int:
-    return 64 if density.dim == 1 else 16
+    blockset = distributions.TARGETS[args.dist].cover(args.layers)
+    sampler = PatternBlockSampler(density, blockset, UniformSource(args.seed))
+    start = time.perf_counter()
+    points = sampler.sample_many(args.n)
+    return blockset, sampler, points, time.perf_counter() - start
 
 
 def _open_out(path):
@@ -98,13 +55,8 @@ def _write_rows(out, header, rows, fmt):
 
 
 def cmd_sample(args) -> int:
-    density, blockset, _, _ = _build(args.dist, args.layers)
-    sampler = PatternBlockSampler(density, blockset, UniformSource(args.seed))
-    try:
-        points = sampler.sample_many(args.n)
-    except RejectionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    density = distributions.TARGETS[args.dist].density()
+    blockset, sampler, points, _ = _draw(args, density)
     header = ["x"] if density.dim == 1 else ["x1", "x2"]
     out, close = _open_out(args.out)
     try:
@@ -129,27 +81,22 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.n < 1:
-        return _usage_error("validate needs --n of at least 1")
     if args.bins is not None and args.bins < 2:
         return _usage_error("--bins must be at least 2")
-    density, blockset, probe_bounds, binning = _build(args.dist, args.layers)
-    report = validate_blockset(
-        blockset, density, n_probe=VALIDATE_COVER_PROBES, probe_bounds=probe_bounds
-    )
-    sampler = PatternBlockSampler(density, blockset, UniformSource(args.seed))
+    target = distributions.TARGETS[args.dist]
+    density = target.density()
+    bins = args.bins if args.bins is not None else DEFAULT_BINS[density.dim]
+    edges, probs = target.bins(bins)
+    expected = args.n * np.ravel(probs)
     try:
-        points = sampler.sample_many(args.n)
-    except RejectionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    bins = args.bins if args.bins is not None else _default_bins(density)
-    edges, probs = binning(bins)
-    samples = np.asarray(points)[:, 0] if density.dim == 1 else np.asarray(points)
-    try:
-        gof = numeric.chi_square_gof(samples, edges, probs)
+        numeric.pool_small_bins(expected, expected)
     except numeric.TooFewBinsError as exc:
         return _usage_error(f"--n {args.n} is too small for --bins {bins} ({exc})")
+    blockset, sampler, points, _ = _draw(args, density)
+    report = validate_blockset(
+        blockset, density, n_probe=VALIDATE_COVER_PROBES, probe_bounds=target.probe_bounds
+    )
+    gof = numeric.chi_square_gof(np.asarray(points), edges, probs)
     gof_ok = gof.p_value > args.significance
     passed = report.all_passed() and gof_ok
     doc = {
@@ -178,58 +125,24 @@ def cmd_validate(args) -> int:
     return 0 if passed else 1
 
 
-def _bench_worker(density, blockset, seed, stream, n, results):
-    sampler = PatternBlockSampler(
-        density, blockset, UniformSource(derive_stream_seed(seed, stream))
-    )
-    sampler.sample_many(n)
-    results[stream] = (sampler.attempts, sampler.accepted)
-
-
 def cmd_bench(args) -> int:
-    density, blockset, _, _ = _build(args.dist, args.layers)
-    threads = max(1, args.threads)
-    share = [args.n // threads] * threads
-    share[0] += args.n - sum(share)
-    results = {}
-    start = time.perf_counter()
-    if threads == 1:
-        _bench_worker(density, blockset, args.seed, 0, share[0], results)
-    else:
-        workers = [
-            threading.Thread(
-                target=_bench_worker,
-                args=(density, blockset, args.seed, t, share[t], results),
-            )
-            for t in range(threads)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-    elapsed = time.perf_counter() - start
-    attempts = sum(a for a, _ in results.values())
-    accepted = sum(c for _, c in results.values())
+    density = distributions.TARGETS[args.dist].density()
+    blockset, sampler, _, elapsed = _draw(args, density)
     doc = {
         "dist": args.dist,
         "n": args.n,
-        "threads": threads,
         "elapsed_s": elapsed,
         "samples_per_second": args.n / elapsed if elapsed > 0 else math.inf,
-        "attempts_per_sample": attempts / accepted if accepted else math.nan,
+        "attempts_per_sample": sampler.attempts / sampler.accepted,
         "exact_rate": exact_adoption_rate(density, blockset),
-        "empirical_rate": accepted / attempts if attempts else math.nan,
+        "empirical_rate": sampler.empirical_rate,
     }
     print(json.dumps(doc))
     return 0
 
 
 def cmd_zigg_table(args) -> int:
-    try:
-        layout = distributions.half_normal_ziggurat(args.layers)
-    except ZigguratError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    layout = distributions.half_normal_ziggurat(args.layers)
     xs = layout.x
     fs = layout.f_at_x
     rows = []
@@ -264,14 +177,14 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p, dist=True):
         if dist:
-            p.add_argument("--dist", choices=DISTS, required=True)
+            p.add_argument("--dist", choices=distributions.TARGETS, required=True)
             p.add_argument("--n", type=int, default=10_000)
             p.add_argument("--seed", type=int, default=1)
         p.add_argument(
             "--layers",
             type=int,
             default=128,
-            help="ziggurat layer count (half-normal-zigg only); at least 2",
+            help="layer count of layered covers and of zigg-table; at least 2",
         )
 
     p_sample = sub.add_parser("sample", help="write samples as CSV or JSON")
@@ -289,7 +202,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="throughput and adoption rates")
     common(p_bench)
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)
 
     p_table = sub.add_parser("zigg-table", help="equal-area layer table")
@@ -307,7 +219,13 @@ def main(argv=None) -> int:
         return _usage_error("--layers must be at least 2")
     if getattr(args, "n", 0) < 0:
         return _usage_error("--n must be nonnegative")
-    return args.func(args)
+    if args.command in ("validate", "bench") and args.n < 1:
+        return _usage_error(f"{args.command} needs --n of at least 1")
+    try:
+        return args.func(args)
+    except (RejectionCapError, ZigguratError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,12 +9,16 @@ Three targets:
   slab, a superlevel block, and three cylinders (adoption rate ~ 0.3644);
 * the half-normal with an equal-area ziggurat layout, the classical
   special case of the block construction.
+
+TARGETS holds each target under its CLI name, with the factories of its
+density and cover and its chi-square bin layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -302,3 +306,67 @@ def half_normal_ziggurat(n_layers: int = 128) -> ZigguratLayout:
 
 def half_normal_ziggurat_blockset(n_layers: int = 128) -> BlockSet:
     return ziggurat_blockset(half_normal_ziggurat(n_layers), half_normal_pdf)
+
+
+# ---------------------------------------------------------------------------
+# the shipped targets
+
+HALF_NORMAL_PROBE_HI = 8.0  # density mass beyond this is ~1e-15, below any tolerance
+
+
+def _arcsine_modulated_bins(n: int):
+    edges = np.linspace(0.0, 1.0, n + 1)
+    return edges, numeric.bin_probabilities_1d(arcsine_modulated_mass, edges)
+
+
+def _gauss_mixture_bins(n: int):
+    edges = np.linspace(-4.0, 4.0, n + 1)
+    return (edges, edges), numeric.bin_probabilities_2d(gauss_mixture_xy, MIX_DOMAIN, n)
+
+
+def _half_normal_bins(n: int):
+    edges = np.linspace(0.0, HALF_NORMAL_PROBE_HI, n + 1)
+    edges[-1] = math.inf  # the last bin takes the tail
+    return edges, numeric.bin_probabilities_1d(
+        lambda a, b: half_normal_cdf(b) - half_normal_cdf(a), edges
+    )
+
+
+@dataclass(frozen=True)
+class Target:
+    """A shipped target: its density and block cover, built on demand.
+
+    cover(layers) uses the layer count only for layered covers.
+    probe_bounds replaces the density's domain in the cover scan (None keeps
+    it). bins(n) returns (edges, probs): n chi-square bins per axis and
+    their probabilities by quadrature of the normalized density.
+    """
+
+    density: Callable[[], Density]
+    cover: Callable[[int], BlockSet]
+    probe_bounds: tuple[tuple[float, float], ...] | None
+    bins: Callable[[int], tuple]
+
+
+# The lambdas look each factory up when it is called, so a replaced module
+# attribute (a test's corrupted cover, a timing wrapper) takes effect.
+TARGETS = {
+    "arcsine-mod": Target(
+        density=lambda: arcsine_modulated_density(),
+        cover=lambda layers: arcsine_modulated_blockset(),
+        probe_bounds=None,
+        bins=_arcsine_modulated_bins,
+    ),
+    "gauss-mix-2d": Target(
+        density=lambda: gauss_mixture_density(),
+        cover=lambda layers: gauss_mixture_blockset(),
+        probe_bounds=None,
+        bins=_gauss_mixture_bins,
+    ),
+    "half-normal-zigg": Target(
+        density=lambda: half_normal_density(),
+        cover=lambda layers: half_normal_ziggurat_blockset(layers),
+        probe_bounds=((0.0, HALF_NORMAL_PROBE_HI),),
+        bins=_half_normal_bins,
+    ),
+}

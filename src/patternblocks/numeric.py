@@ -212,9 +212,7 @@ def chi_square_gof(
     """Chi-square goodness of fit of samples against expected probabilities.
 
     expected_probs must sum to 1 within 1e-9 and match the bin layout. Bins
-    whose expected count falls below min_expected are pooled into one bin
-    (folded into the smallest regular bin if the pool itself stays small),
-    and the merge count is reported. Needs at least 2 effective bins.
+    are pooled by pool_small_bins and the merge count is reported.
     """
     expected_probs = np.asarray(expected_probs, dtype=float)
     if abs(expected_probs.sum() - 1.0) > 1e-9:
@@ -224,7 +222,20 @@ def chi_square_gof(
         raise ValueError("expected_probs shape does not match the bin grid")
     observed = hist.counts.ravel().astype(float)
     expected = expected_probs.ravel() * hist.total
+    obs_arr, exp_arr, bins_merged = pool_small_bins(observed, expected, min_expected)
+    statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
+    dof = len(exp_arr) - 1
+    return GofReport(statistic, dof, float(chi2.sf(statistic, dof)), bins_merged)
 
+
+def pool_small_bins(observed, expected, min_expected: float = 5.0):
+    """(observed, expected, bins_merged) after pooling small bins.
+
+    Bins whose expected count falls below min_expected are pooled into one
+    bin, which is folded into the smallest regular bin if the pool itself
+    stays small. Which bins are pooled depends only on the expected counts.
+    Raises TooFewBinsError when fewer than 2 effective bins remain.
+    """
     small = expected < min_expected
     bins_merged = int(small.sum())
     obs_eff = list(observed[~small])
@@ -242,11 +253,7 @@ def chi_square_gof(
 
     if len(exp_eff) < 2:
         raise TooFewBinsError("fewer than 2 effective bins after merging")
-    obs_arr = np.asarray(obs_eff)
-    exp_arr = np.asarray(exp_eff)
-    statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
-    dof = len(exp_arr) - 1
-    return GofReport(statistic, dof, float(chi2.sf(statistic, dof)), bins_merged)
+    return np.asarray(obs_eff), np.asarray(exp_eff), bins_merged
 
 
 @dataclass(frozen=True)

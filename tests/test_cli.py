@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 
@@ -6,7 +8,7 @@ import pytest
 
 from patternblocks import distributions
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
-from patternblocks.cli import main
+from patternblocks.cli import DEFAULT_BINS, _parser, main
 from patternblocks.core import BlockSet, Density
 
 
@@ -55,6 +57,33 @@ def test_sample_output_is_byte_stable(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# SHA-256 of the CLI's output bytes, generated with Python 3.11 and numpy 2.4
+# on x86-64 Linux from commit 8920e10 (before the target registry), so any
+# change to a sample stream or to the layer table fails here on purpose.
+GOLDEN_SAMPLE_SHA256 = {
+    ("arcsine-mod", 2000): "900ad82f9f38a539ce561ef0a7e0fee641acf7a0e16bf3fc494321550630f3b8",
+    ("half-normal-zigg", 2000): "296ff7a6fc095b601e9713343622a3cd504cb9feda1345d5201a6d49def01734",
+    ("gauss-mix-2d", 1000): "89a824e24c90134a46b28b074fe3e27c2ddc2282a46640f5a50b2f10f1913f58",
+}
+GOLDEN_ZIGG_TABLE_128_SHA256 = "8303f61b1911a43735ba23e8993610607bb89aab804971f66d026bf3371b0440"
+
+
+@pytest.mark.parametrize(("dist", "n"), sorted(GOLDEN_SAMPLE_SHA256))
+def test_sample_matches_golden_digest(tmp_path, capsys, dist, n):
+    path = tmp_path / "out.csv"
+    code, _, _ = run_cli(
+        capsys, "sample", "--dist", dist, "--n", str(n), "--seed", "42", "--out", str(path)
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[dist, n]
+
+
+def test_zigg_table_matches_golden_digest(capsys):
+    code, out, _ = run_cli(capsys, "zigg-table", "--layers", "128")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ZIGG_TABLE_128_SHA256
 
 
 def test_sample_json_format(capsys):
@@ -124,15 +153,17 @@ def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
 
 def test_sample_rejection_cap_exit_code(capsys, monkeypatch):
     # a block sitting above a bounded density can never be accepted
-    def impossible(*args, **kwargs):
-        density = Density(
+    from patternblocks.blocks1d import rect_block
+
+    impossible = distributions.Target(
+        density=lambda: Density(
             dim=1, evaluate=lambda p: 0.5, domain_bounds=((0.0, 1.0),), K=0.5
-        )
-        from patternblocks.blocks1d import rect_block
-
-        return density, BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)]), None, None
-
-    monkeypatch.setattr("patternblocks.cli._build", impossible)
+        ),
+        cover=lambda layers: BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)]),
+        probe_bounds=None,
+        bins=None,
+    )
+    monkeypatch.setitem(distributions.TARGETS, "arcsine-mod", impossible)
     code, _, err = run_cli(
         capsys, "sample", "--dist", "arcsine-mod", "--n", "1", "--seed", "1"
     )
@@ -165,18 +196,6 @@ def test_bench_ziggurat_rate(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["empirical_rate"] > 0.97
-
-
-def test_bench_threads_sum_counters(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "bench", "--dist", "arcsine-mod", "--n", "4000", "--seed", "2",
-        "--threads", "2",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["threads"] == 2
-    assert abs(doc["attempts_per_sample"] - 1.5) < 0.05
 
 
 def test_zigg_table_layout(capsys):
@@ -214,20 +233,56 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code = main(["sample", "--dist", "arcsine-mod", "--n", "-5"])
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dist", "arcsine-mod", "--n", "10", "--threads", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
     for argv in (
-        ["--bins", "0"],
-        ["--bins", "1"],
-        ["--bins", "-3"],
-        ["--n", "0"],
-        ["--n", "5", "--bins", "64"],
+        ["validate", "--bins", "0"],
+        ["validate", "--bins", "1"],
+        ["validate", "--bins", "-3"],
+        ["validate", "--n", "0"],
+        ["validate", "--n", "5", "--bins", "64"],
+        ["bench", "--n", "0"],
     ):
-        code, out, err = run_cli(
-            capsys, "validate", "--dist", "arcsine-mod", "--n", "1000", *argv
-        )
+        code, out, err = run_cli(capsys, *argv[:1], "--dist", "arcsine-mod", *argv[1:])
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_validate_too_few_bins_fails_before_setup(capsys, monkeypatch):
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("cover built before the bin check")
+
+    monkeypatch.setattr(distributions, "gauss_mixture_blockset", unbuildable)
+    code, out, err = run_cli(
+        capsys, "validate", "--dist", "gauss-mix-2d", "--n", "3", "--bins", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_dist_choices_are_the_registry():
+    commands = next(
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command in ("sample", "validate", "bench"):
+        (dist,) = (a for a in commands.choices[command]._actions if a.dest == "dist")
+        assert list(dist.choices) == list(distributions.TARGETS), command
+
+
+@pytest.mark.parametrize("name", sorted(distributions.TARGETS))
+def test_target_default_bins_match_grid(name):
+    target = distributions.TARGETS[name]
+    density = target.density()
+    edges, probs = target.bins(DEFAULT_BINS[density.dim])
+    grid = edges if isinstance(edges, tuple) else (edges,)
+    assert len(grid) == density.dim
+    assert probs.shape == tuple(len(e) - 1 for e in grid)
+    assert np.all(probs >= 0.0)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zigg_table_bisection_failure_exit_code(capsys, monkeypatch):
