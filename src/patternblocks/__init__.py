@@ -20,6 +20,7 @@ from .blocks2d import cylinder_block, slab_block, superlevel_block
 from .core import (
     BlockSet,
     Density,
+    DensityValueError,
     PatternBlock,
     PatternBlockSampler,
     Point,
@@ -46,6 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSet",
     "Density",
+    "DensityValueError",
     "GofReport",
     "Histogram",
     "KsReport",

@@ -19,11 +19,24 @@ import numpy as np
 
 from . import distributions, numeric
 from .blocks1d import ZigguratError
-from .core import PatternBlockSampler, RejectionCapError, exact_adoption_rate, validate_blockset
+from .core import (
+    DensityValueError,
+    PatternBlockSampler,
+    RejectionCapError,
+    exact_adoption_rate,
+    validate_blockset,
+)
 from .rng import UniformSource
 
 VALIDATE_COVER_PROBES = 20_000
 DEFAULT_BINS = {1: 64, 2: 16}  # chi-square bins per axis, by dimension
+SAMPLE_CHUNK = 4096  # rows `sample` draws and writes at a time
+
+
+def _sampler(args, density):
+    """The cover of args.dist and a sampler on the stream of args.seed."""
+    blockset = distributions.TARGETS[args.dist].cover(args.layers)
+    return blockset, PatternBlockSampler(density, blockset, UniformSource(args.seed))
 
 
 def _draw(args, density):
@@ -31,8 +44,7 @@ def _draw(args, density):
 
     Returns (blockset, sampler, points, seconds spent sampling).
     """
-    blockset = distributions.TARGETS[args.dist].cover(args.layers)
-    sampler = PatternBlockSampler(density, blockset, UniformSource(args.seed))
+    blockset, sampler = _sampler(args, density)
     start = time.perf_counter()
     points = sampler.sample_many(args.n)
     return blockset, sampler, points, time.perf_counter() - start
@@ -44,30 +56,40 @@ def _open_out(path):
     return open(path, "w", newline=""), True
 
 
-def _write_rows(out, header, rows, fmt):
+def _write_samples(out, sampler, n, names, fmt):
+    """Draw n points in chunks of SAMPLE_CHUNK and write each chunk as CSV
+    rows or as the items of one JSON array (json.dump's separators), so
+    memory stays bounded for any n. Floats are written as their repr."""
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(repr(float(v)) for v in row) + "\n")
+        head, sep, tail = ",".join(names) + "\n", "", ""
+        row = ",".join(["{}"] * len(names)) + "\n"
     else:
-        json.dump([dict(zip(header, map(float, row))) for row in rows], out)
-        out.write("\n")
+        head, sep, tail = "[", ", ", "]\n"
+        row = "{{" + ", ".join(f'"{name}": {{}}' for name in names) + "}}"
+    out.write(head)
+    lead = ""
+    for start in range(0, n, SAMPLE_CHUNK):
+        points = sampler.sample_many(min(SAMPLE_CHUNK, n - start))
+        out.write(lead + sep.join([row.format(*p) for p in points]))
+        lead = sep
+    out.write(tail)
 
 
 def cmd_sample(args) -> int:
     density = distributions.TARGETS[args.dist].density()
-    blockset, sampler, points, _ = _draw(args, density)
-    header = ["x"] if density.dim == 1 else ["x1", "x2"]
+    blockset, sampler = _sampler(args, density)
+    names = ["x"] if density.dim == 1 else ["x1", "x2"]
     out, close = _open_out(args.out)
     try:
-        _write_rows(out, header, points, args.format)
+        _write_samples(out, sampler, args.n, names, args.format)
     finally:
         if close:
             out.close()
     summary = {
         "attempts": sampler.attempts,
         "accepted": sampler.accepted,
-        "empirical_rate": sampler.empirical_rate,
+        # no attempts, no rate: null, since strict JSON has no NaN
+        "empirical_rate": sampler.empirical_rate if sampler.attempts else None,
         "exact_rate": exact_adoption_rate(density, blockset),
         "seed": args.seed,
     }
@@ -223,7 +245,7 @@ def main(argv=None) -> int:
         return _usage_error(f"{args.command} needs --n of at least 1")
     try:
         return args.func(args)
-    except (RejectionCapError, ZigguratError) as exc:
+    except (DensityValueError, RejectionCapError, ZigguratError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

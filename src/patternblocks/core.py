@@ -28,6 +28,10 @@ class RejectionCapError(RuntimeError):
     (adoption rate effectively zero) or the restriction region unreachable."""
 
 
+class DensityValueError(RuntimeError):
+    """The density returned NaN or a negative value at a sampled point."""
+
+
 @dataclass(frozen=True)
 class Density:
     """Nonnegative target function f with its total mass K = integral of f.
@@ -314,7 +318,10 @@ class PatternBlockSampler:
     (inclusive comparison; the boundary has measure zero, the choice is
     fixed for determinism). attempts counts loop iterations and accepted
     counts returned samples, so accepted / attempts estimates the adoption
-    rate. One sampler per thread; the underlying source must not be shared.
+    rate. A rejected attempt whose density value is NaN or negative raises
+    DensityValueError; rejection_cap consecutive rejections within one
+    sample raise RejectionCapError. One sampler per thread; the underlying
+    source must not be shared.
     """
 
     def __init__(
@@ -332,30 +339,47 @@ class PatternBlockSampler:
         self.accepted = 0
 
     def sample_one(self) -> Point:
+        return self.sample_many(1)[0]
+
+    def sample_many(self, n: int) -> list[Point]:
+        """n accepted points; the counters stay exact when an error stops
+        the batch part way."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         evaluate = self.density.evaluate
         blocks = self.blockset.blocks
         cumulative = self.blockset.cumulative
-        next_unit = self.source.next_unit
-        consecutive = 0
-        while True:
-            u = next_unit()
-            block = blocks[bisect_right(cumulative, u)]
-            point, w = block.sample_uniform(self.source)
-            self.attempts += 1
-            if w <= evaluate(point):
-                self.accepted += 1
-                return point
-            consecutive += 1
-            if consecutive >= self.rejection_cap:
-                raise RejectionCapError(
-                    f"{consecutive} consecutive rejections; "
-                    "block set does not match the density"
-                )
-
-    def sample_many(self, n: int) -> list[Point]:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        return [self.sample_one() for _ in range(n)]
+        source = self.source
+        next_unit = source.next_unit
+        cap = self.rejection_cap
+        points = []
+        append = points.append
+        attempts = 0
+        try:
+            for _ in range(n):
+                consecutive = 0
+                while True:
+                    block = blocks[bisect_right(cumulative, next_unit())]
+                    point, w = block.sample_uniform(source)
+                    attempts += 1
+                    fx = evaluate(point)
+                    if w <= fx:
+                        break
+                    if not fx >= 0.0:
+                        raise DensityValueError(
+                            f"density is {fx!r} at {point!r}; it must be nonnegative, not NaN"
+                        )
+                    consecutive += 1
+                    if consecutive >= cap:
+                        raise RejectionCapError(
+                            f"{consecutive} consecutive rejections; "
+                            "block set does not match the density"
+                        )
+                append(point)
+        finally:
+            self.attempts += attempts
+            self.accepted += len(points)
+        return points
 
     @property
     def empirical_rate(self) -> float:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ GOLDEN_SAMPLE_SHA256 = {
 GOLDEN_ZIGG_TABLE_128_SHA256 = "8303f61b1911a43735ba23e8993610607bb89aab804971f66d026bf3371b0440"
 
 
+# Longer runs, generated the same way from commit 60005a5 (the scalar
+# generator, before 65,536-word rounds and chunked output). Their streams
+# cross at least one round boundary of rng.UniformSource (about 91k and 75k
+# draws) and several 4096-row output chunks; the JSON run pins that format.
+GOLDEN_LONG_SAMPLE_SHA256 = {
+    ("half-normal-zigg", 30000, "csv"): "b846aa1b9a7f80d1eb464e13418c14e62c5c2cce40a4e9b155877c75be607b7e",
+    ("gauss-mix-2d", 6000, "csv"): "50844439d81e4215ab851025fd5397ba521f9f9e343b92c6309453194dc7af0d",
+    ("arcsine-mod", 5000, "json"): "3a9d0deed4bae162a5e34ce5316999e3121191bf514b45271c2c9f402ed02491",
+}
+
+
 @pytest.mark.parametrize(("dist", "n"), sorted(GOLDEN_SAMPLE_SHA256))
 def test_sample_matches_golden_digest(tmp_path, capsys, dist, n):
     path = tmp_path / "out.csv"
@@ -78,6 +90,18 @@ def test_sample_matches_golden_digest(tmp_path, capsys, dist, n):
     )
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[dist, n]
+
+
+@pytest.mark.parametrize(("dist", "n", "fmt"), sorted(GOLDEN_LONG_SAMPLE_SHA256))
+def test_long_sample_matches_golden_digest(tmp_path, capsys, dist, n, fmt):
+    path = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "sample", "--dist", dist, "--n", str(n), "--seed", "42",
+        "--format", fmt, "--out", str(path),
+    )
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_LONG_SAMPLE_SHA256[dist, n, fmt]
 
 
 def test_zigg_table_matches_golden_digest(capsys):
@@ -169,6 +193,55 @@ def test_sample_rejection_cap_exit_code(capsys, monkeypatch):
     )
     assert code == 3
     assert "rejections" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("dist", sorted(distributions.TARGETS))
+@pytest.mark.parametrize("n", [0, 5])
+def test_sample_summary_is_strict_json(capsys, dist, n):
+    code, out, err = run_cli(capsys, "sample", "--dist", dist, "--n", str(n), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out, parse_constant=_reject_constant)) == n
+    summary = json.loads(err.strip().split("\n")[-1], parse_constant=_reject_constant)
+    assert summary["accepted"] == n
+    if n == 0:
+        assert summary["empirical_rate"] is None
+    else:
+        assert 0.0 < summary["empirical_rate"] <= 1.0
+
+
+def _constant_density_target(value):
+    from patternblocks.blocks1d import rect_block
+
+    return distributions.Target(
+        density=lambda: Density(
+            dim=1, evaluate=lambda p: value, domain_bounds=((0.0, 1.0),), K=1.0
+        ),
+        cover=lambda layers: BlockSet([rect_block(0.0, 1.0, 0.0, 1.0)]),
+        probe_bounds=None,
+        bins=None,
+    )
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+def test_sample_bad_density_value_exits_three_at_once(capsys, monkeypatch, value):
+    monkeypatch.setitem(distributions.TARGETS, "arcsine-mod", _constant_density_target(value))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "sample", "--dist", "arcsine-mod", "--n", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: density is ") and err.count("\n") == 1, err
+
+
+def test_sample_infinite_density_value_accepts(capsys, monkeypatch):
+    monkeypatch.setitem(distributions.TARGETS, "arcsine-mod", _constant_density_target(math.inf))
+    code, out, err = run_cli(capsys, "sample", "--dist", "arcsine-mod", "--n", "10")
+    assert code == 0
+    assert len(out.split("\n")) == 12
+    assert json.loads(err)["attempts"] == 10
 
 
 def test_bench_attempt_ratios(capsys):

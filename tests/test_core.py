@@ -12,6 +12,7 @@ from patternblocks.core import (
     BlockSet,
     CheckResult,
     Density,
+    DensityValueError,
     PatternBlock,
     PatternBlockSampler,
     RejectionCapError,
@@ -197,6 +198,65 @@ def test_rejection_cap_fires():
     )
     with pytest.raises(RejectionCapError):
         sampler.sample_one()
+
+
+def _scripted_density(values):
+    """Density whose k-th evaluation returns values[k], then 0.0."""
+    calls = iter(values)
+    return Density(
+        dim=1, evaluate=lambda p: next(calls, 0.0), domain_bounds=((0.0, 1.0),), K=1.0
+    )
+
+
+def test_counters_exact_after_cap_error_mid_batch():
+    # five accepted attempts, then nothing under the graph
+    sampler = PatternBlockSampler(
+        _scripted_density([1.0] * 5),
+        BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]),
+        UniformSource(3),
+        rejection_cap=50,
+    )
+    with pytest.raises(RejectionCapError):
+        sampler.sample_many(10)
+    assert (sampler.accepted, sampler.attempts) == (5, 55)
+
+
+def test_cap_counts_consecutive_rejections_per_sample():
+    # every sample takes two rejections, then an acceptance
+    script = [0.0, 0.0, 1.0] * 100
+    blockset = BlockSet([rect_block(0.0, 1.0, 0.1, 0.5)])
+    sampler = PatternBlockSampler(
+        _scripted_density(script), blockset, UniformSource(4), rejection_cap=3
+    )
+    assert len(sampler.sample_many(100)) == 100
+    assert (sampler.accepted, sampler.attempts) == (100, 300)
+
+    sampler = PatternBlockSampler(
+        _scripted_density(script), blockset, UniformSource(4), rejection_cap=2
+    )
+    with pytest.raises(RejectionCapError):
+        sampler.sample_many(100)
+    assert (sampler.accepted, sampler.attempts) == (0, 2)
+
+
+def test_sample_one_continues_the_batch_stream():
+    density, blockset = _uniform_density(), BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)])
+    one = PatternBlockSampler(density, blockset, UniformSource(8))
+    many = PatternBlockSampler(density, blockset, UniformSource(8))
+    assert [one.sample_one() for _ in range(50)] == many.sample_many(50)
+    assert (one.accepted, one.attempts) == (many.accepted, many.attempts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.25])
+def test_nan_or_negative_density_fails_fast(bad):
+    sampler = PatternBlockSampler(
+        _scripted_density([1.0, 1.0, bad]),
+        BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]),
+        UniformSource(5),
+    )
+    with pytest.raises(DensityValueError, match="nonnegative"):
+        sampler.sample_many(10)
+    assert (sampler.accepted, sampler.attempts) == (2, 3)
 
 
 def test_infinite_density_value_accepts_finite_heights():
