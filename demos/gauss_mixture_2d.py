@@ -27,7 +27,7 @@ from patternblocks.numeric import Histogram, bin_probabilities_2d, chi_square_go
 density = gauss_mixture_density()
 blockset = gauss_mixture_blockset()
 
-print(f"mixture mass by quadrature: K = {density.K:.9f}")
+print(f"mixture mass in closed form: K = {density.K:.9f}")
 print("block table")
 for block in blockset.blocks:
     weight = block.measure / blockset.total_measure

@@ -40,7 +40,7 @@ from .numeric import (
     quad_1d,
     quad_2d_grid,
 )
-from .rng import UniformSource, derive_stream_seed
+from .rng import UniformSource
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "build_ziggurat",
     "chi_square_gof",
     "cylinder_block",
-    "derive_stream_seed",
     "envelope_block",
     "exact_adoption_rate",
     "ks_test_1d",

@@ -14,10 +14,11 @@ from typing import Callable
 import numpy as np
 
 from .core import PatternBlock, RejectionCapError
-from .numeric import Rect, quad_2d_grid
+from .numeric import Rect, midpoint_bands
 from .rng import UniformSource
 
 DEFAULT_INNER_CAP = 1_000_000
+GRID = 2000  # cells per axis of the superlevel area count and leak scan
 
 
 def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> PatternBlock:
@@ -95,19 +96,19 @@ def superlevel_block(
     f_xy: Callable,
     y_lo: float,
     y_hi: float,
-    cells_per_axis: int = 2000,
-    domain_rect: Rect | None = None,
+    domain_rect: Rect,
     inner_cap: int = DEFAULT_INNER_CAP,
     label: str = "",
 ) -> PatternBlock:
     """Superlevel set {f_xy >= level} times the height band [y_lo, y_hi].
 
-    The footprint area is computed once at construction by midpoint-grid
-    quadrature of the indicator over bounding_rect (deterministic, so the
-    selection weights carry no seed dependence). f_xy must accept numpy
-    arrays. When domain_rect is given, a grid scan asserts that nothing
-    outside bounding_rect reaches the level, i.e. the box really contains
-    the superlevel set.
+    The footprint area is the exact count of cells of the GRID x GRID
+    midpoint grid over bounding_rect where f_xy >= level, times the cell
+    area (deterministic, so the selection weights carry no seed
+    dependence). f_xy must accept numpy arrays. A scan of the same grid
+    over domain_rect asserts that no cell outside bounding_rect reaches the
+    level, i.e. the box really contains the superlevel set. Both walk the
+    grid in bounded bands (numeric.midpoint_bands).
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are
@@ -119,20 +120,20 @@ def superlevel_block(
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounding_rect
     if not (x1_lo < x1_hi and x2_lo < x2_hi):
         raise ValueError("degenerate bounding rectangle")
+    w1 = x1_hi - x1_lo
+    w2 = x2_hi - x2_lo
 
-    def indicator(a, b):
-        return (f_xy(a, b) >= level).astype(float)
-
-    area = quad_2d_grid(indicator, bounding_rect, cells_per_axis).value
-    if domain_rect is not None:
-        _assert_box_adequate(level, bounding_rect, f_xy, domain_rect, cells_per_axis)
+    cells = sum(
+        int(np.count_nonzero(f_xy(xs, ys) >= level))
+        for xs, ys in midpoint_bands(bounding_rect, GRID)
+    )
+    area = cells * (w1 / GRID) * (w2 / GRID)
+    _assert_box_adequate(level, bounding_rect, f_xy, domain_rect)
 
     band = y_hi - y_lo
     measure = area * band
     if not measure > 0.0:
         raise ValueError("superlevel set has zero area at this resolution")
-    w1 = x1_hi - x1_lo
-    w2 = x2_hi - x2_lo
 
     def sample(source: UniformSource):
         for _ in range(inner_cap):
@@ -154,25 +155,9 @@ def superlevel_block(
     )
 
 
-def _assert_box_adequate(level, bounding_rect, f_xy, domain_rect, cells_per_axis):
+def _assert_box_adequate(level, bounding_rect, f_xy, domain_rect):
     (bx_lo, bx_hi), (by_lo, by_hi) = bounding_rect
-    (dx_lo, dx_hi), (dy_lo, dy_hi) = domain_rect
-    n = cells_per_axis
-    hx = (dx_hi - dx_lo) / n
-    hy = (dy_hi - dy_lo) / n
-    ys = dy_lo + hy * (np.arange(n) + 0.5)
-    chunk = max(1, 4_000_000 // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        xs = dx_lo + hx * (np.arange(start, stop) + 0.5)
-        vals = f_xy(xs[:, None], ys[None, :])
-        outside = (
-            (xs[:, None] < bx_lo)
-            | (xs[:, None] > bx_hi)
-            | (ys[None, :] < by_lo)
-            | (ys[None, :] > by_hi)
-        )
-        if bool(np.any(outside & (vals >= level))):
-            raise ValueError(
-                "superlevel set leaks outside the bounding rectangle"
-            )
+    for xs, ys in midpoint_bands(domain_rect, GRID):
+        outside = (xs < bx_lo) | (xs > bx_hi) | (ys < by_lo) | (ys > by_hi)
+        if bool(np.any(outside & (f_xy(xs, ys) >= level))):
+            raise ValueError("superlevel set leaks outside the bounding rectangle")

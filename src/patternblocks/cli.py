@@ -39,27 +39,30 @@ def _sampler(args, density):
     return blockset, PatternBlockSampler(density, blockset, UniformSource(args.seed))
 
 
-def _draw(args, density):
-    """Build the cover of args.dist and draw args.n points on args.seed.
+def _chunks(sampler, n):
+    """n points from sampler, drawn SAMPLE_CHUNK at a time, so a caller
+    that keeps no chunk runs in memory bounded for any n."""
+    for start in range(0, n, SAMPLE_CHUNK):
+        yield sampler.sample_many(min(SAMPLE_CHUNK, n - start))
 
-    Returns (blockset, sampler, points, seconds spent sampling).
-    """
-    blockset, sampler = _sampler(args, density)
-    start = time.perf_counter()
-    points = sampler.sample_many(args.n)
-    return blockset, sampler, points, time.perf_counter() - start
+
+class UsageError(Exception):
+    """A bad command line: main prints the message and exits 2."""
 
 
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
-    return open(path, "w", newline=""), True
+    try:
+        return open(path, "w", newline=""), True
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _write_samples(out, sampler, n, names, fmt):
-    """Draw n points in chunks of SAMPLE_CHUNK and write each chunk as CSV
-    rows or as the items of one JSON array (json.dump's separators), so
-    memory stays bounded for any n. Floats are written as their repr."""
+    """Draw n points in chunks and write each chunk as CSV rows or as the
+    items of one JSON array (json.dump's separators), so memory stays
+    bounded for any n. Floats are written as their repr."""
     if fmt == "csv":
         head, sep, tail = ",".join(names) + "\n", "", ""
         row = ",".join(["{}"] * len(names)) + "\n"
@@ -68,8 +71,7 @@ def _write_samples(out, sampler, n, names, fmt):
         row = "{{" + ", ".join(f'"{name}": {{}}' for name in names) + "}}"
     out.write(head)
     lead = ""
-    for start in range(0, n, SAMPLE_CHUNK):
-        points = sampler.sample_many(min(SAMPLE_CHUNK, n - start))
+    for points in _chunks(sampler, n):
         out.write(lead + sep.join([row.format(*p) for p in points]))
         lead = sep
     out.write(tail)
@@ -97,14 +99,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_validate(args) -> int:
     if args.bins is not None and args.bins < 2:
-        return _usage_error("--bins must be at least 2")
+        raise UsageError("--bins must be at least 2")
+    if not 0.0 < args.significance < 1.0:
+        raise UsageError("--significance must lie strictly between 0 and 1")
     target = distributions.TARGETS[args.dist]
     density = target.density()
     bins = args.bins if args.bins is not None else DEFAULT_BINS[density.dim]
@@ -113,12 +112,16 @@ def cmd_validate(args) -> int:
     try:
         numeric.pool_small_bins(expected, expected)
     except numeric.TooFewBinsError as exc:
-        return _usage_error(f"--n {args.n} is too small for --bins {bins} ({exc})")
-    blockset, sampler, points, _ = _draw(args, density)
+        raise UsageError(f"--n {args.n} is too small for --bins {bins} ({exc})") from None
+    blockset, sampler = _sampler(args, density)
+    counts = sum(
+        numeric.Histogram.from_samples(points, edges).counts
+        for points in _chunks(sampler, args.n)
+    )
     report = validate_blockset(
         blockset, density, n_probe=VALIDATE_COVER_PROBES, probe_bounds=target.probe_bounds
     )
-    gof = numeric.chi_square_gof(np.asarray(points), edges, probs)
+    gof = numeric.chi_square_counts(counts, probs)
     gof_ok = gof.p_value > args.significance
     passed = report.all_passed() and gof_ok
     doc = {
@@ -149,7 +152,11 @@ def cmd_validate(args) -> int:
 
 def cmd_bench(args) -> int:
     density = distributions.TARGETS[args.dist].density()
-    blockset, sampler, _, elapsed = _draw(args, density)
+    blockset, sampler = _sampler(args, density)
+    start = time.perf_counter()
+    for _ in _chunks(sampler, args.n):
+        pass
+    elapsed = time.perf_counter() - start
     doc = {
         "dist": args.dist,
         "n": args.n,
@@ -237,14 +244,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.layers < 2:
-        return _usage_error("--layers must be at least 2")
-    if getattr(args, "n", 0) < 0:
-        return _usage_error("--n must be nonnegative")
-    if args.command in ("validate", "bench") and args.n < 1:
-        return _usage_error(f"{args.command} needs --n of at least 1")
     try:
+        if args.layers < 2:
+            raise UsageError("--layers must be at least 2")
+        if getattr(args, "n", 0) < 0:
+            raise UsageError("--n must be nonnegative")
+        if args.command in ("validate", "bench") and args.n < 1:
+            raise UsageError(f"{args.command} needs --n of at least 1")
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (DensityValueError, RejectionCapError, ZigguratError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,7 +38,8 @@ class Density:
 
     evaluate maps a point (a 1- or 2-tuple of floats) to f(x) >= 0; f / K is
     the probability density the samplers aim at. K_provenance records
-    whether K is known exactly or was estimated by quadrature.
+    whether K is known exactly (in closed form, as for every shipped
+    target) or was estimated by quadrature.
     """
 
     dim: int

@@ -185,13 +185,22 @@ class LevelConstants:
 DEFAULT_LEVELS = LevelConstants()
 
 
-def gauss_mixture_density(cells_per_axis: int = 2000) -> Density:
-    """Mixture density with its mass estimated by grid quadrature.
+def _gauss_line_integral(mu: float) -> float:
+    """Integral of exp(-(x - mu)^2) over [-4, 4], from math.erf."""
+    return 0.5 * math.sqrt(math.pi) * (math.erf(4.0 - mu) - math.erf(-4.0 - mu))
 
-    The coefficient very nearly normalizes the truncated mixture, but only
-    quadrature says how nearly, so K is marked as estimated.
+
+def gauss_mixture_density() -> Density:
+    """Mixture density with its mass in closed form.
+
+    Each component factors over the axes, so K = MIX_COEFF * (S(0)^2 +
+    S(2)^2 / 2) with S(mu) the integral of exp(-(x - mu)^2) over [-4, 4].
+    The coefficient very nearly normalizes the truncated mixture: K - 1 is
+    about 3.3e-8.
     """
-    mass = numeric.quad_2d_grid(gauss_mixture_xy, MIX_DOMAIN, cells_per_axis).value
+    mass = MIX_COEFF * (
+        _gauss_line_integral(0.0) ** 2 + _gauss_line_integral(2.0) ** 2 / 2
+    )
 
     def evaluate(point):
         x1, x2 = point
@@ -204,14 +213,13 @@ def gauss_mixture_density(cells_per_axis: int = 2000) -> Density:
         evaluate=evaluate,
         domain_bounds=MIX_DOMAIN,
         K=mass,
-        K_provenance="quadrature",
+        K_provenance="exact",
     )
 
 
-def gauss_mixture_blockset(
-    levels: LevelConstants = DEFAULT_LEVELS, cells_per_axis: int = 2000
-) -> BlockSet:
+def gauss_mixture_blockset() -> BlockSet:
     """Slab + superlevel + three cylinders covering the mixture subgraph."""
+    levels = DEFAULT_LEVELS
     blocks = [
         slab_block(MIX_DOMAIN, 0.0, levels.b0, label="slab"),
         superlevel_block(
@@ -220,7 +228,6 @@ def gauss_mixture_blockset(
             gauss_mixture_xy,
             levels.b0,
             levels.b1,
-            cells_per_axis=cells_per_axis,
             domain_rect=MIX_DOMAIN,
             label="superlevel",
         ),

@@ -1,9 +1,8 @@
 """Quadrature and goodness-of-fit utilities used to validate samplers.
 
 The integration routines here serve as independent oracles: expected bin
-probabilities, normalizing masses, and region areas are always computed by
-quadrature, never by sampling, so the checks stay decoupled from the
-samplers they judge.
+probabilities are always computed by quadrature, never by sampling, so the
+checks stay decoupled from the samplers they judge.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ from scipy import special
 from scipy.stats import chi2
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
+
+BAND_CELLS = 1 << 16  # grid cells midpoint_bands hands out at a time
 
 
 class TooFewBinsError(ValueError):
@@ -82,34 +83,39 @@ class Quad2DResult(NamedTuple):
 def quad_2d_grid(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rect: Rect,
-    cells_per_axis: int,
+    n: int,
 ) -> Quad2DResult:
-    """Midpoint-rule tensor quadrature of g over a rectangle.
+    """Midpoint-rule tensor quadrature of g over a rectangle, n cells per axis.
 
     g must broadcast over numpy arrays. The returned error estimate is the
     Richardson comparison against the half-resolution grid (midpoint rule is
     second order, so |I_h - I_2h| / 3 bounds the leading error term).
     """
-    if cells_per_axis < 2:
-        raise ValueError("cells_per_axis must be at least 2")
-    fine = _midpoint_2d(g, rect, cells_per_axis)
-    coarse = _midpoint_2d(g, rect, max(1, cells_per_axis // 2))
+    if n < 2:
+        raise ValueError("need at least 2 cells per axis")
+    fine = _midpoint_2d(g, rect, n)
+    coarse = _midpoint_2d(g, rect, n // 2)
     return Quad2DResult(fine, abs(fine - coarse) / 3.0)
 
 
 def _midpoint_2d(g, rect, n):
     (x_lo, x_hi), (y_lo, y_hi) = rect
+    total = sum(float(np.sum(g(xs, ys))) for xs, ys in midpoint_bands(rect, n))
+    return total * ((x_hi - x_lo) / n) * ((y_hi - y_lo) / n)
+
+
+def midpoint_bands(rect: Rect, n: int):
+    """Cell midpoints of the n x n grid over rect, a band of rows at a time:
+    yields (xs as a column, ys as a row), which broadcast to at most
+    BAND_CELLS cells, so a 2000 x 2000 grid never materializes."""
+    (x_lo, x_hi), (y_lo, y_hi) = rect
     hx = (x_hi - x_lo) / n
     hy = (y_hi - y_lo) / n
     ys = y_lo + hy * (np.arange(n) + 0.5)
-    total = 0.0
-    # row-chunked so a 2000x2000 grid never materializes more than a band
-    chunk = max(1, 4_000_000 // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        xs = x_lo + hx * (np.arange(start, stop) + 0.5)
-        total += float(np.sum(g(xs[:, None], ys[None, :])))
-    return total * hx * hy
+    rows = max(1, BAND_CELLS // n)
+    for start in range(0, n, rows):
+        xs = x_lo + hx * (np.arange(start, min(n, start + rows)) + 0.5)
+        yield xs[:, None], ys[None, :]
 
 
 def bin_probabilities_1d(
@@ -203,25 +209,25 @@ class GofReport:
     bins_merged: int
 
 
-def chi_square_gof(
-    samples,
-    bin_edges,
-    expected_probs: np.ndarray,
-    min_expected: float = 5.0,
-) -> GofReport:
-    """Chi-square goodness of fit of samples against expected probabilities.
+def chi_square_gof(samples, bin_edges, expected_probs, min_expected=5.0) -> GofReport:
+    """chi_square_counts of the histogram of samples on bin_edges."""
+    counts = Histogram.from_samples(samples, bin_edges).counts
+    return chi_square_counts(counts, expected_probs, min_expected)
 
-    expected_probs must sum to 1 within 1e-9 and match the bin layout. Bins
-    are pooled by pool_small_bins and the merge count is reported.
+
+def chi_square_counts(counts, expected_probs, min_expected: float = 5.0) -> GofReport:
+    """Chi-square goodness of fit of bin counts against expected probabilities.
+
+    expected_probs must sum to 1 within 1e-9 and have the shape of counts.
+    Bins are pooled by pool_small_bins and the merge count is reported.
     """
     expected_probs = np.asarray(expected_probs, dtype=float)
     if abs(expected_probs.sum() - 1.0) > 1e-9:
         raise ValueError("expected_probs must sum to 1")
-    hist = Histogram.from_samples(samples, bin_edges)
-    if hist.counts.shape != expected_probs.shape:
+    if counts.shape != expected_probs.shape:
         raise ValueError("expected_probs shape does not match the bin grid")
-    observed = hist.counts.ravel().astype(float)
-    expected = expected_probs.ravel() * hist.total
+    observed = counts.ravel().astype(float)
+    expected = expected_probs.ravel() * int(counts.sum())
     obs_arr, exp_arr, bins_merged = pool_small_bins(observed, expected, min_expected)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = len(exp_arr) - 1

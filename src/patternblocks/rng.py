@@ -43,13 +43,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def derive_stream_seed(seed: int, stream: int) -> int:
-    """Seed for an independent stream: (seed + stream) through the splitmix64
-    finalizer, so adjacent stream indices give decorrelated states."""
-    _, word = _splitmix64((seed + stream) & _MASK64)
-    return word
-
-
 # shift counts as uint64 scalars: the shifts of uint64 arrays then skip
 # converting a Python int on every call
 _U7, _U11, _U17, _U19, _U45, _U57 = (np.uint64(k) for k in (7, 11, 17, 19, 45, 57))
@@ -195,7 +188,3 @@ class UniformSource:
         # transposed, the (step, lane) words read lane by lane
         np.multiply(w.T, 2.0**-53, out=self._units.reshape(LANES, STEPS))
         self._offset = 0
-
-    def spawn(self, stream: int) -> "UniformSource":
-        """Independent source for parallel work, keyed by stream index."""
-        return UniformSource(derive_stream_seed(self.seed, stream))

@@ -131,6 +131,12 @@ def level_block():
     )
 
 
+def test_superlevel_measure_is_the_exact_cell_count(level_block):
+    # 2000 x 2000 cells over the box, each of area (5.5 / 2000)^2, times the
+    # band width: the grid indicator sum at the same cells, bit for bit
+    assert level_block.measure == 0.4913762734374999
+
+
 def test_superlevel_area(level_block):
     area = level_block.measure / (DEFAULT_LEVELS.b1 - DEFAULT_LEVELS.b0)
     assert abs(area - SUPERLEVEL_AREA) < 0.02
@@ -191,7 +197,7 @@ def test_superlevel_rejects_empty_region():
     with pytest.raises(ValueError, match="zero area"):
         superlevel_block(
             1.0, SUPERLEVEL_BOX, gauss_mixture_xy, 0.0, 1.0,
-            cells_per_axis=200,
+            domain_rect=MIX_DOMAIN,
         )
 
 
@@ -201,7 +207,7 @@ def test_superlevel_inner_cap_fires():
 
     block = superlevel_block(
         0.5, ((0.0, 1.0), (0.0, 1.0)), needle, 0.0, 1.0,
-        cells_per_axis=2000, inner_cap=20,
+        domain_rect=((0.0, 1.0), (0.0, 1.0)), inner_cap=20,
     )
     with pytest.raises(RejectionCapError):
         block.sample_uniform(UniformSource(19))

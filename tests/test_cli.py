@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,8 +147,8 @@ def test_validate_zigg_passes(capsys):
 
 
 def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
-    def corrupted(levels=distributions.DEFAULT_LEVELS, cells_per_axis=2000):
-        lv = levels
+    def corrupted():
+        lv = distributions.DEFAULT_LEVELS
         blocks = [
             slab_block(distributions.MIX_DOMAIN, 0.0, lv.b0),
             superlevel_block(
@@ -156,7 +157,7 @@ def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
                 distributions.gauss_mixture_xy,
                 lv.b0,
                 lv.b1,
-                cells_per_axis=cells_per_axis,
+                domain_rect=distributions.MIX_DOMAIN,
             ),
             cylinder_block((0.0, 0.0), 1.25, lv.b1, lv.b2),
             cylinder_block((2.0, 2.0), 1.0, lv.b1, lv.b2),
@@ -317,11 +318,47 @@ def test_usage_errors_exit_two(capsys):
         ["validate", "--n", "0"],
         ["validate", "--n", "5", "--bins", "64"],
         ["bench", "--n", "0"],
+        ["validate", "--significance", "0"],
+        ["validate", "--significance", "1"],
+        ["validate", "--significance", "1.5"],
+        ["validate", "--significance", "-0.1"],
+        ["validate", "--significance", "nan"],
     ):
         code, out, err = run_cli(capsys, *argv[:1], "--dist", "arcsine-mod", *argv[1:])
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.csv")
+    for argv in (
+        ["sample", "--dist", "arcsine-mod", "--n", "10"],
+        ["validate", "--dist", "arcsine-mod", "--n", "2000", "--bins", "8"],
+        ["zigg-table", "--layers", "8"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert path in err
+
+
+@pytest.mark.parametrize("command", ["bench", "validate"])
+def test_bench_and_validate_memory_is_bounded(command, capsys):
+    # both draw in chunks and keep no point; holding all 200k points peaks
+    # at about 17 MB (bench) and 24 MB (validate). The first run builds the
+    # generator's once-per-process jump tables outside the trace.
+    main([command, "--dist", "half-normal-zigg", "--n", "1000", "--seed", "1"])
+    tracemalloc.start()
+    try:
+        code = main([command, "--dist", "half-normal-zigg", "--n", "200000", "--seed", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 8e6
 
 
 def test_validate_too_few_bins_fails_before_setup(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,8 @@ from patternblocks.distributions import (
     arcsine_modulated_pdf,
     arcsine_pdf,
     arcsine_strip_scale,
+    gauss_mixture_blockset,
+    gauss_mixture_density,
     gauss_mixture_xy,
     half_normal_cdf,
     half_normal_pdf,
@@ -125,8 +128,30 @@ def test_arcsine_rate_is_two_thirds(arcsine_density, arcsine_blocks):
 
 
 def test_mixture_mass_close_to_one(mixture_density):
-    assert mixture_density.K_provenance == "quadrature"
+    assert mixture_density.K_provenance == "exact"
     assert abs(mixture_density.K - 1.0) < 0.002
+
+
+def test_mixture_mass_matches_closed_form_at_30_digits(mixture_density):
+    with mp.workdps(30):
+        def line(mu):
+            return mp.sqrt(mp.pi) / 2 * (mp.erf(4 - mu) - mp.erf(-4 - mu))
+
+        exact = mp.mpf(2119) / 9970 * (line(0) ** 2 + line(2) ** 2 / 2)
+        assert abs(mixture_density.K - exact) / exact < 1e-15
+    assert mixture_density.K == 1.0000000330799637
+
+
+def test_mixture_build_memory_is_bounded():
+    # the grid passes walk bounded bands; full 2000 x 2000 grids took 91.6 MB
+    tracemalloc.start()
+    try:
+        gauss_mixture_density()
+        gauss_mixture_blockset()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_mixture_peaks_hit_level_constants():
@@ -155,7 +180,7 @@ def test_mixture_adoption_rate(mixture_density, mixture_blocks):
     rate = exact_adoption_rate(mixture_density, mixture_blocks)
     assert 0.3634 <= rate <= 0.3654
     # the coefficient nearly normalizes the truncated mixture, so the rate
-    # computed with quadrature K and with K = 1 must agree closely
+    # computed with the closed-form K and with K = 1 must agree closely
     assert abs(rate - 1.0 / mixture_blocks.total_measure) < 0.002
 
 

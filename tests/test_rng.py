@@ -4,7 +4,7 @@ from scipy.stats import chi2
 
 from patternblocks import rng
 from patternblocks.cli import main
-from patternblocks.rng import HAND_OUT, ROUND, UniformSource, derive_stream_seed
+from patternblocks.rng import HAND_OUT, ROUND, UniformSource
 
 _MASK64 = (1 << 64) - 1
 
@@ -210,20 +210,3 @@ def test_equidistribution_chi_square(million_draws):
     expected = len(million_draws) / 100
     statistic = ((counts - expected) ** 2 / expected).sum()
     assert chi2.sf(statistic, 99) > 0.001
-
-
-def test_stream_seeds_decorrelate():
-    seeds = {derive_stream_seed(9, k) for k in range(100)}
-    assert len(seeds) == 100
-    a = UniformSource(derive_stream_seed(9, 0))
-    b = UniformSource(derive_stream_seed(9, 1))
-    assert [a.next_unit() for _ in range(100)] != [b.next_unit() for _ in range(100)]
-
-
-def test_spawn_matches_derived_seed():
-    parent = UniformSource(9)
-    child = parent.spawn(3)
-    direct = UniformSource(derive_stream_seed(9, 3))
-    assert [child.next_unit() for _ in range(50)] == [
-        direct.next_unit() for _ in range(50)
-    ]
