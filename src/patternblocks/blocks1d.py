@@ -15,6 +15,11 @@ from typing import Callable, Optional
 from .core import BlockSet, PatternBlock
 from .rng import UniformSource
 
+R_BRACKET = (1e-3, 20.0)  # build_ziggurat bisects the tail start r in here
+X_TOL = 1e-12  # implied x_0 that ends the bisection
+AREA_TOL = 1e-11  # top-layer area residual that ends it too
+MAX_BISECTIONS = 200
+
 
 class ZigguratError(RuntimeError):
     """Equal-area bisection failed to converge."""
@@ -111,29 +116,24 @@ def build_ziggurat(
     f: Callable[[float], float],
     n_layers: int,
     tail_mass: Callable[[float], float],
-    f_inv: Optional[Callable[[float], float]] = None,
-    tail_sampler: Optional[Callable[[float, UniformSource], float]] = None,
-    r_bracket: tuple[float, float] = (1e-3, 20.0),
-    x_tol: float = 1e-12,
-    max_iter: int = 200,
+    f_inv: Callable[[float], float],
+    tail_sampler: Callable[[float, UniformSource], float],
 ) -> ZigguratLayout:
     """Equal-area layout for a density strictly decreasing on (0, inf).
 
-    Bisects on r = x[-1]: the common area is v = r f(r) + tail_mass(r), and
-    walking x_{i-1} = f_inv(f(x_i) + v / x_i) down from r must land on
-    x_0 = 0. Convergence accepts an implied x_0 within x_tol, or a top-layer
-    area residual x_1 * |f(0) - y_0| below 1e-11: for densities with a flat
-    peak (f'(0) = 0) the x-space residual floors near sqrt(machine eps), so
-    the area residual is the criterion that actually guards the equal-area
-    invariant. f must integrate to 1 on [0, inf). When f_inv is omitted the
-    inverse is computed by monotone bisection on f.
+    Bisects on r = x[-1] within R_BRACKET: the common area is
+    v = r f(r) + tail_mass(r), and walking x_{i-1} = f_inv(f(x_i) + v / x_i)
+    down from r must land on x_0 = 0. Convergence accepts an implied x_0
+    within X_TOL, or a top-layer area residual x_1 * |f(0) - y_0| below
+    AREA_TOL: for densities with a flat peak (f'(0) = 0) the x-space
+    residual floors near sqrt(machine eps), so the area residual is the
+    criterion that actually guards the equal-area invariant. f must
+    integrate to 1 on [0, inf) and f_inv invert it; tail_sampler is the
+    layout's (see ZigguratLayout).
     """
     if n_layers < 2:
         raise ValueError("need at least 2 layers")
     f0 = f(0.0)
-    if f_inv is None:
-        f_inv = _monotone_inverse(f, r_bracket[1])
-    area_tol = 1e-11
 
     def walk(r: float):
         """(xs descending to x1, implied x0, v, implied y0), None on overshoot."""
@@ -150,16 +150,16 @@ def build_ziggurat(
             return None
         return xs, f_inv(y0), v, y0
 
-    lo, hi = r_bracket
+    lo, hi = R_BRACKET
     if walk(lo) is not None:
-        raise ZigguratError("r_bracket lower end does not overshoot; widen it")
+        raise ZigguratError(f"lower end r = {lo} does not overshoot; check f and tail_mass")
     result = walk(hi)
     if result is None:
-        raise ZigguratError("r_bracket upper end overshoots; widen it")
+        raise ZigguratError(f"upper end r = {hi} overshoots; check f and tail_mass")
 
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         xs, x0, v, y0 = result
-        if x0 <= x_tol or xs[-1] * (f0 - y0) <= area_tol:
+        if x0 <= X_TOL or xs[-1] * (f0 - y0) <= AREA_TOL:
             xs.append(0.0)
             xs.reverse()
             f_vals = tuple(f(x) for x in xs)
@@ -180,22 +180,6 @@ def build_ziggurat(
         f"bisection did not converge; residual x0 = {x0:.3e}, "
         f"top-layer area residual = {xs[-1] * (f0 - y0):.3e}"
     )
-
-
-def _monotone_inverse(f, hi_limit):
-    def f_inv(y: float) -> float:
-        lo, hi = 0.0, hi_limit
-        while f(hi) > y:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) > y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return f_inv
 
 
 def ziggurat_layer_block(layout: ZigguratLayout, i: int, label: str = "") -> PatternBlock:

@@ -3,12 +3,15 @@
 Subcommands: sample (CSV/JSON samples plus a JSON summary on stderr),
 validate (block-set checks plus goodness of fit, JSON report), bench
 (throughput and adoption rates), zigg-table (equal-area layer table).
+Only zigg-table takes --layers. Each command checks its arguments and
+opens --out before it builds anything.
 Exit codes: 0 success, 1 failed check, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -28,14 +31,13 @@ from .core import (
 )
 from .rng import UniformSource
 
-VALIDATE_COVER_PROBES = 20_000
 DEFAULT_BINS = {1: 64, 2: 16}  # chi-square bins per axis, by dimension
 SAMPLE_CHUNK = 4096  # rows `sample` draws and writes at a time
 
 
 def _sampler(args, density):
     """The cover of args.dist and a sampler on the stream of args.seed."""
-    blockset = distributions.TARGETS[args.dist].cover(args.layers)
+    blockset = distributions.TARGETS[args.dist].cover()
     return blockset, PatternBlockSampler(density, blockset, UniformSource(args.seed))
 
 
@@ -50,13 +52,18 @@ class UsageError(Exception):
     """A bad command line: main prints the message and exits 2."""
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """The --out stream: stdout for None or "-", else the file, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", newline=""), True
+        out = open(path, "w", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
+    with out:
+        yield out
 
 
 def _write_samples(out, sampler, n, names, fmt):
@@ -78,15 +85,11 @@ def _write_samples(out, sampler, n, names, fmt):
 
 
 def cmd_sample(args) -> int:
-    density = distributions.TARGETS[args.dist].density()
-    blockset, sampler = _sampler(args, density)
-    names = ["x"] if density.dim == 1 else ["x1", "x2"]
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
+        density = distributions.TARGETS[args.dist].density()
+        blockset, sampler = _sampler(args, density)
+        names = ["x"] if density.dim == 1 else ["x1", "x2"]
         _write_samples(out, sampler, args.n, names, args.format)
-    finally:
-        if close:
-            out.close()
     summary = {
         "attempts": sampler.attempts,
         "accepted": sampler.accepted,
@@ -113,40 +116,33 @@ def cmd_validate(args) -> int:
         numeric.pool_small_bins(expected, expected)
     except numeric.TooFewBinsError as exc:
         raise UsageError(f"--n {args.n} is too small for --bins {bins} ({exc})") from None
-    blockset, sampler = _sampler(args, density)
-    counts = sum(
-        numeric.Histogram.from_samples(points, edges).counts
-        for points in _chunks(sampler, args.n)
-    )
-    report = validate_blockset(
-        blockset, density, n_probe=VALIDATE_COVER_PROBES, probe_bounds=target.probe_bounds
-    )
-    gof = numeric.chi_square_counts(counts, probs)
-    gof_ok = gof.p_value > args.significance
-    passed = report.all_passed() and gof_ok
-    doc = {
-        "validation": {
-            "positivity": asdict(report.positivity),
-            "cover": asdict(report.cover),
-            "overlap": asdict(report.overlap),
-        },
-        "gof": asdict(gof),
-        "rates": {
-            "exact": exact_adoption_rate(density, blockset),
-            "empirical": sampler.empirical_rate,
-            "attempts": sampler.attempts,
-            "accepted": sampler.accepted,
-        },
-        "significance": args.significance,
-        "passed": passed,
-    }
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
+        blockset, sampler = _sampler(args, density)
+        counts = sum(
+            numeric.Histogram.from_samples(points, edges).counts
+            for points in _chunks(sampler, args.n)
+        )
+        report = validate_blockset(blockset, density, probe_bounds=target.probe_bounds)
+        gof = numeric.chi_square_counts(counts, probs)
+        passed = report.all_passed() and gof.p_value > args.significance
+        doc = {
+            "validation": {
+                "positivity": asdict(report.positivity),
+                "cover": asdict(report.cover),
+                "overlap": asdict(report.overlap),
+            },
+            "gof": asdict(gof),
+            "rates": {
+                "exact": exact_adoption_rate(density, blockset),
+                "empirical": sampler.empirical_rate,
+                "attempts": sampler.attempts,
+                "accepted": sampler.accepted,
+            },
+            "significance": args.significance,
+            "passed": passed,
+        }
         json.dump(doc, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0 if passed else 1
 
 
@@ -171,16 +167,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_zigg_table(args) -> int:
-    layout = distributions.half_normal_ziggurat(args.layers)
-    xs = layout.x
-    fs = layout.f_at_x
-    rows = []
-    base_area = xs[-1] * fs[-1] + layout.tail_mass_at_r
-    rows.append((0, xs[0], fs[0], base_area))
-    for i in range(1, layout.n_layers):
-        rows.append((i, xs[i], fs[i], xs[i] * (fs[i - 1] - fs[i])))
-    out, close = _open_out(args.out)
-    try:
+    if args.layers < 2:
+        raise UsageError("--layers must be at least 2")
+    with _open_out(args.out) as out:
+        layout = distributions.half_normal_ziggurat(args.layers)
+        xs = layout.x
+        fs = layout.f_at_x
+        rows = [(0, xs[0], fs[0], xs[-1] * fs[-1] + layout.tail_mass_at_r)]
+        for i in range(1, layout.n_layers):
+            rows.append((i, xs[i], fs[i], xs[i] * (fs[i - 1] - fs[i])))
         if args.format == "csv":
             out.write("i,x,f,area\n")
             for i, x, fx, area in rows:
@@ -191,9 +186,6 @@ def cmd_zigg_table(args) -> int:
                 out,
             )
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -204,17 +196,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dist=True):
-        if dist:
-            p.add_argument("--dist", choices=distributions.TARGETS, required=True)
-            p.add_argument("--n", type=int, default=10_000)
-            p.add_argument("--seed", type=int, default=1)
-        p.add_argument(
-            "--layers",
-            type=int,
-            default=128,
-            help="layer count of layered covers and of zigg-table; at least 2",
-        )
+    def common(p):
+        p.add_argument("--dist", choices=distributions.TARGETS, required=True)
+        p.add_argument("--n", type=int, default=10_000)
+        p.add_argument("--seed", type=int, default=1)
 
     p_sample = sub.add_parser("sample", help="write samples as CSV or JSON")
     common(p_sample)
@@ -234,7 +219,9 @@ def _parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_table = sub.add_parser("zigg-table", help="equal-area layer table")
-    common(p_table, dist=False)
+    p_table.add_argument(
+        "--layers", type=int, default=128, help="layer count of the table; at least 2"
+    )
     p_table.add_argument("--out", default=None)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=cmd_zigg_table)
@@ -245,8 +232,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.layers < 2:
-            raise UsageError("--layers must be at least 2")
         if getattr(args, "n", 0) < 0:
             raise UsageError("--n must be nonnegative")
         if args.command in ("validate", "bench") and args.n < 1:

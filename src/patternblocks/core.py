@@ -22,6 +22,10 @@ Point = tuple[float, ...]
 
 DEFAULT_REJECTION_CAP = 1_000_000
 
+VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap fraction
+OVERLAP_SEED = 0  # stream of validate_blockset's overlap probes
+HEIGHT_STRATA = 8  # cover probe heights per grid point
+
 
 class RejectionCapError(RuntimeError):
     """Too many consecutive rejections; the block set is misconfigured
@@ -157,18 +161,15 @@ def validate_blockset(
     blockset: BlockSet,
     density: Density,
     n_probe: int = 20_000,
-    tolerance: float = 1e-12,
     probe_bounds: Optional[tuple[tuple[float, float], ...]] = None,
-    seed: int = 0,
-    height_strata: int = 8,
 ) -> ValidationReport:
     """Statistical validation of the block-set contract against a density.
 
     Three checks:
       positivity  every block measure is strictly positive (exact);
       cover       on a cell-centered quasi-grid of n_probe points x with
-                  heights stratified in [0, f(x)], every probe (x, y) with
-                  y <= f(x) - tolerance must lie in at least one block;
+                  HEIGHT_STRATA heights in [0, f(x)], every probe (x, y)
+                  with y <= f(x) - VALIDATE_TOLERANCE lies in some block;
       overlap     Monte Carlo: uniform samples of each block must not land
                   in any other block (pairwise intersections have measure
                   zero, so interior double-hits indicate real overlap).
@@ -200,8 +201,8 @@ def validate_blockset(
     if not finite:
         raise ValueError("cover probing needs finite probe_bounds for unbounded domains")
 
-    cover = _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata)
-    overlap = _overlap_check(blockset, n_probe, tolerance, seed)
+    cover = _cover_check(blockset, density, bounds, n_probe)
+    overlap = _overlap_check(blockset, n_probe)
     return ValidationReport(positivity, cover, overlap)
 
 
@@ -222,7 +223,7 @@ def _probe_points(bounds, n_probe):
                 yield (x, y_lo + (j + 0.5) * sy)
 
 
-def _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata):
+def _cover_check(blockset, density, bounds, n_probe):
     # Each stratum remembers the block that last covered it and asks that
     # block first: probes walk the grid in order, so a stratum's height
     # moves slowly and the hint nearly always hits. Whether some block
@@ -230,17 +231,17 @@ def _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata):
     blocks = blockset.blocks
     tests = [b.contains for b in blocks]
     evaluate = density.evaluate
-    hints = [0] * height_strata
+    hints = [0] * HEIGHT_STRATA
     violations = 0
     worst = 0.0
     checked = 0
     for point in _probe_points(bounds, n_probe):
         fx = evaluate(point)
-        if not (fx > tolerance) or math.isinf(fx):
+        if not (fx > VALIDATE_TOLERANCE) or math.isinf(fx):
             continue
-        for j in range(height_strata):
-            y = fx * (j + 0.5) / height_strata
-            if y > fx - tolerance:
+        for j in range(HEIGHT_STRATA):
+            y = fx * (j + 0.5) / HEIGHT_STRATA
+            if y > fx - VALIDATE_TOLERANCE:
                 continue
             checked += 1
             hit = hints[j]
@@ -267,14 +268,14 @@ def _cover_check(blockset, density, bounds, n_probe, tolerance, height_strata):
     )
 
 
-def _overlap_check(blockset, n_probe, tolerance, seed):
+def _overlap_check(blockset, n_probe):
     # A block can only contain heights inside its band, so each block is
     # probed only against the blocks whose bands meet its own.
     blocks = blockset.blocks
     if len(blocks) == 1:
         return CheckResult("pass", "single block")
     bands = [b.height_band for b in blocks]
-    source = UniformSource(seed)
+    source = UniformSource(OVERLAP_SEED)
     per_block = max(100, n_probe // len(blocks))
     total = blockset.total_measure
     hits = 0
@@ -300,7 +301,7 @@ def _overlap_check(blockset, n_probe, tolerance, seed):
         # ordered-pair estimate of nu(B_i n B_j); halved below for i < j sums
         weighted += block.measure * block_hits / per_block
     estimate = weighted / (2.0 * total)
-    if estimate <= tolerance:
+    if estimate <= VALIDATE_TOLERANCE:
         return CheckResult("pass", f"{per_block} probes/block, {hits} double-hits")
     return CheckResult(
         "fail", f"{hits} double-hits, overlap fraction estimate {estimate:.3e}"

@@ -32,6 +32,7 @@ from .rng import UniformSource
 # arcsine-modulated density on (0, 1)
 
 ARCSINE_STRIPS = 8
+ARCSINE_MASS_TOL = 1e-10  # absolute quadrature tolerance of arcsine_modulated_mass
 
 
 def arcsine_pdf(x: float) -> float:
@@ -109,8 +110,8 @@ def arcsine_modulated_blockset() -> BlockSet:
     return BlockSet(blocks)
 
 
-def arcsine_modulated_mass(lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Integral of the modulated density over [lo, hi] in (0, 1).
+def arcsine_modulated_mass(lo: float, hi: float) -> float:
+    """Integral of the modulated density over [lo, hi] in [0, 1], to ARCSINE_MASS_TOL.
 
     Uses the substitution x = sin^2(theta), which absorbs the arcsine
     weight into a constant and leaves a smooth bounded integrand, so the
@@ -125,7 +126,7 @@ def arcsine_modulated_mass(lo: float, hi: float, tol: float = 1e-10) -> float:
         s = math.sin(theta)
         return (2.0 / math.pi) * modulation(s * s)
 
-    return numeric.quad_1d(integrand, t_lo, t_hi, tol=tol)
+    return numeric.quad_1d(integrand, t_lo, t_hi, tol=ARCSINE_MASS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -151,38 +152,19 @@ def _gauss_mixture_scalar(x1: float, x2: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class LevelConstants:
-    """Height levels and disk geometry of the mixture block cover.
-
-    The five bands are [0, b0], [b0, b1], [b1, b2] twice (two disjoint
-    disks share the band), and [b2, b3]; b3 is the density maximum, reached
-    at the origin up to the exponentially small cross term.
-    """
-
-    b0: float = 1.0 / 40.0
-    b1: float = 1.0 / 15.0
-    b2: float = MIX_COEFF * (math.exp(-8.0) + 0.5)
-    b3: float = MIX_COEFF * (1.0 + 0.5 * math.exp(-8.0))
-    disk_centers: tuple[tuple[float, float], ...] = ((0.0, 0.0), (2.0, 2.0), (0.0, 0.0))
-    disk_radii: tuple[float, ...] = (1.25, 1.0, 1.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.b0 < self.b1 < self.b2 < self.b3:
-            raise ValueError("levels must be strictly increasing and positive")
-
-    @property
-    def bands(self) -> tuple[tuple[float, float], ...]:
-        return (
-            (0.0, self.b0),
-            (self.b0, self.b1),
-            (self.b1, self.b2),
-            (self.b1, self.b2),
-            (self.b2, self.b3),
-        )
-
-
-DEFAULT_LEVELS = LevelConstants()
+# Height levels of the mixture cover: the slab spans [0, B0], the superlevel
+# block [B0, B1]; B2 is the density at the mode (2, 2) and B3 its maximum,
+# at the origin up to the exponentially small cross term.
+B0 = 1.0 / 40.0
+B1 = 1.0 / 15.0
+B2 = MIX_COEFF * (math.exp(-8.0) + 0.5)
+B3 = MIX_COEFF * (1.0 + 0.5 * math.exp(-8.0))
+# (center, radius, y_lo, y_hi) of the cylinders; the first two are disjoint
+MIX_DISKS = (
+    ((0.0, 0.0), 1.25, B1, B2),
+    ((2.0, 2.0), 1.0, B1, B2),
+    ((0.0, 0.0), 1.0, B2, B3),
+)
 
 
 def _gauss_line_integral(mu: float) -> float:
@@ -219,27 +201,21 @@ def gauss_mixture_density() -> Density:
 
 def gauss_mixture_blockset() -> BlockSet:
     """Slab + superlevel + three cylinders covering the mixture subgraph."""
-    levels = DEFAULT_LEVELS
     blocks = [
-        slab_block(MIX_DOMAIN, 0.0, levels.b0, label="slab"),
+        slab_block(MIX_DOMAIN, 0.0, B0, label="slab"),
         superlevel_block(
-            levels.b0,
+            B0,
             SUPERLEVEL_BOX,
             gauss_mixture_xy,
-            levels.b0,
-            levels.b1,
+            B0,
+            B1,
             domain_rect=MIX_DOMAIN,
             label="superlevel",
         ),
     ]
-    for (center, radius, band) in zip(
-        levels.disk_centers, levels.disk_radii, levels.bands[2:]
-    ):
+    for center, radius, y_lo, y_hi in MIX_DISKS:
         blocks.append(
-            cylinder_block(
-                center, radius, band[0], band[1],
-                label=f"disk r={radius} at {center}",
-            )
+            cylinder_block(center, radius, y_lo, y_hi, label=f"disk r={radius} at {center}")
         )
     return BlockSet(blocks)
 
@@ -311,8 +287,9 @@ def half_normal_ziggurat(n_layers: int = 128) -> ZigguratLayout:
     )
 
 
-def half_normal_ziggurat_blockset(n_layers: int = 128) -> BlockSet:
-    return ziggurat_blockset(half_normal_ziggurat(n_layers), half_normal_pdf)
+def half_normal_ziggurat_blockset() -> BlockSet:
+    """The 128-layer ziggurat cover of the half-normal."""
+    return ziggurat_blockset(half_normal_ziggurat(), half_normal_pdf)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +318,15 @@ def _half_normal_bins(n: int):
 
 @dataclass(frozen=True)
 class Target:
-    """A shipped target: its density and block cover, built on demand.
+    """A shipped target: its density and its one fixed cover, built on demand.
 
-    cover(layers) uses the layer count only for layered covers.
     probe_bounds replaces the density's domain in the cover scan (None keeps
     it). bins(n) returns (edges, probs): n chi-square bins per axis and
     their probabilities by quadrature of the normalized density.
     """
 
     density: Callable[[], Density]
-    cover: Callable[[int], BlockSet]
+    cover: Callable[[], BlockSet]
     probe_bounds: tuple[tuple[float, float], ...] | None
     bins: Callable[[int], tuple]
 
@@ -360,19 +336,19 @@ class Target:
 TARGETS = {
     "arcsine-mod": Target(
         density=lambda: arcsine_modulated_density(),
-        cover=lambda layers: arcsine_modulated_blockset(),
+        cover=lambda: arcsine_modulated_blockset(),
         probe_bounds=None,
         bins=_arcsine_modulated_bins,
     ),
     "gauss-mix-2d": Target(
         density=lambda: gauss_mixture_density(),
-        cover=lambda layers: gauss_mixture_blockset(),
+        cover=lambda: gauss_mixture_blockset(),
         probe_bounds=None,
         bins=_gauss_mixture_bins,
     ),
     "half-normal-zigg": Target(
         density=lambda: half_normal_density(),
-        cover=lambda layers: half_normal_ziggurat_blockset(layers),
+        cover=lambda: half_normal_ziggurat_blockset(),
         probe_bounds=((0.0, HALF_NORMAL_PROBE_HI),),
         bins=_half_normal_bins,
     ),

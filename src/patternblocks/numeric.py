@@ -18,6 +18,8 @@ from scipy.stats import chi2
 Rect = tuple[tuple[float, float], tuple[float, float]]
 
 BAND_CELLS = 1 << 16  # grid cells midpoint_bands hands out at a time
+BIN_SUBGRID = 100  # midpoint cells per axis of each 2-d chi-square bin
+MIN_EXPECTED = 5.0  # expected count below which a chi-square bin is pooled
 
 
 class TooFewBinsError(ValueError):
@@ -136,23 +138,22 @@ def bin_probabilities_2d(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rect: Rect,
     bins_per_axis: int,
-    cells_per_bin: int = 100,
 ) -> np.ndarray:
     """Quadrature bin probabilities of a 2-d density over a uniform grid.
 
-    Each bin is integrated on its own cells_per_bin x cells_per_bin midpoint
+    Each bin is integrated on its own BIN_SUBGRID x BIN_SUBGRID midpoint
     subgrid; the matrix is normalized so the probabilities sum to 1.
     """
     (x_lo, x_hi), (y_lo, y_hi) = rect
-    n = bins_per_axis * cells_per_bin
+    n = bins_per_axis * BIN_SUBGRID
     hx = (x_hi - x_lo) / n
     hy = (y_hi - y_lo) / n
     ys = y_lo + hy * (np.arange(n) + 0.5)
     masses = np.empty((bins_per_axis, bins_per_axis))
     for bx in range(bins_per_axis):
-        xs = x_lo + hx * (np.arange(bx * cells_per_bin, (bx + 1) * cells_per_bin) + 0.5)
+        xs = x_lo + hx * (np.arange(bx * BIN_SUBGRID, (bx + 1) * BIN_SUBGRID) + 0.5)
         band = g(xs[:, None], ys[None, :])
-        masses[bx] = band.reshape(cells_per_bin, bins_per_axis, cells_per_bin).sum(
+        masses[bx] = band.reshape(BIN_SUBGRID, bins_per_axis, BIN_SUBGRID).sum(
             axis=(0, 2)
         )
     return masses / masses.sum()
@@ -209,13 +210,13 @@ class GofReport:
     bins_merged: int
 
 
-def chi_square_gof(samples, bin_edges, expected_probs, min_expected=5.0) -> GofReport:
+def chi_square_gof(samples, bin_edges, expected_probs) -> GofReport:
     """chi_square_counts of the histogram of samples on bin_edges."""
     counts = Histogram.from_samples(samples, bin_edges).counts
-    return chi_square_counts(counts, expected_probs, min_expected)
+    return chi_square_counts(counts, expected_probs)
 
 
-def chi_square_counts(counts, expected_probs, min_expected: float = 5.0) -> GofReport:
+def chi_square_counts(counts, expected_probs) -> GofReport:
     """Chi-square goodness of fit of bin counts against expected probabilities.
 
     expected_probs must sum to 1 within 1e-9 and have the shape of counts.
@@ -228,28 +229,28 @@ def chi_square_counts(counts, expected_probs, min_expected: float = 5.0) -> GofR
         raise ValueError("expected_probs shape does not match the bin grid")
     observed = counts.ravel().astype(float)
     expected = expected_probs.ravel() * int(counts.sum())
-    obs_arr, exp_arr, bins_merged = pool_small_bins(observed, expected, min_expected)
+    obs_arr, exp_arr, bins_merged = pool_small_bins(observed, expected)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = len(exp_arr) - 1
     return GofReport(statistic, dof, float(chi2.sf(statistic, dof)), bins_merged)
 
 
-def pool_small_bins(observed, expected, min_expected: float = 5.0):
+def pool_small_bins(observed, expected):
     """(observed, expected, bins_merged) after pooling small bins.
 
-    Bins whose expected count falls below min_expected are pooled into one
+    Bins whose expected count falls below MIN_EXPECTED are pooled into one
     bin, which is folded into the smallest regular bin if the pool itself
     stays small. Which bins are pooled depends only on the expected counts.
     Raises TooFewBinsError when fewer than 2 effective bins remain.
     """
-    small = expected < min_expected
+    small = expected < MIN_EXPECTED
     bins_merged = int(small.sum())
     obs_eff = list(observed[~small])
     exp_eff = list(expected[~small])
     if bins_merged:
         pooled_obs = observed[small].sum()
         pooled_exp = expected[small].sum()
-        if pooled_exp >= min_expected or not exp_eff:
+        if pooled_exp >= MIN_EXPECTED or not exp_eff:
             obs_eff.append(pooled_obs)
             exp_eff.append(pooled_exp)
         else:

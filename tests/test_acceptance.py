@@ -15,7 +15,10 @@ from patternblocks.core import (
     select_block,
 )
 from patternblocks.distributions import (
-    DEFAULT_LEVELS,
+    B0,
+    B1,
+    B2,
+    B3,
     arcsine_cdf,
     arcsine_modulated_mass,
     arcsine_strip_scale,
@@ -100,7 +103,6 @@ def test_criterion_06_mixture_distributional_fit(mixture_density, mixture_blocks
 
 
 def test_criterion_07_mixture_cover_grid():
-    lv = DEFAULT_LEVELS
     n = 1000
     xs = -4.0 + 8.0 * (np.arange(n) + 0.5) / n
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
@@ -108,12 +110,12 @@ def test_criterion_07_mixture_cover_grid():
     in_d3 = x1 * x1 + x2 * x2 <= 1.25 * 1.25
     in_d4 = (x1 - 2.0) ** 2 + (x2 - 2.0) ** 2 <= 1.0
     in_d5 = x1 * x1 + x2 * x2 <= 1.0
-    coverage = np.full_like(f, lv.b0)
-    coverage = np.maximum(coverage, np.where(f >= lv.b0, lv.b1, 0.0))
-    coverage = np.maximum(coverage, np.where(in_d3 | in_d4, lv.b2, 0.0))
-    coverage = np.maximum(coverage, np.where(in_d5, lv.b3, 0.0))
+    coverage = np.full_like(f, B0)
+    coverage = np.maximum(coverage, np.where(f >= B0, B1, 0.0))
+    coverage = np.maximum(coverage, np.where(in_d3 | in_d4, B2, 0.0))
+    coverage = np.maximum(coverage, np.where(in_d5, B3, 0.0))
     # the bands stack contiguously: each footprint nests in the one below
-    assert np.all(f[in_d3 | in_d4] >= lv.b0)
+    assert np.all(f[in_d3 | in_d4] >= B0)
     assert np.all(in_d5 <= in_d3)
     gaps = f - coverage
     violations = int((gaps > 1e-12).sum())

@@ -20,6 +20,7 @@ from patternblocks.distributions import (
     arcsine_modulated_blockset,
     arcsine_pdf,
     half_normal_pdf,
+    half_normal_pdf_inv,
     half_normal_tail_mass,
     half_normal_tail_sampler,
 )
@@ -176,8 +177,7 @@ def test_layer_areas_equal(zigg_layout):
 
 def test_two_layer_layout():
     layout = build_ziggurat(
-        half_normal_pdf, 2, half_normal_tail_mass, f_inv=None,
-        tail_sampler=half_normal_tail_sampler,
+        half_normal_pdf, 2, half_normal_tail_mass, half_normal_pdf_inv, half_normal_tail_sampler
     )
     # both blocks share one area; the rectangle layer spills above the
     # graph, so the common area exceeds half of the unit mass
@@ -187,17 +187,12 @@ def test_two_layer_layout():
     assert abs(layout.layer_area - ZIGG_V_2) < 1e-9
 
 
-def test_numeric_inverse_fallback():
-    layout = build_ziggurat(half_normal_pdf, 8, half_normal_tail_mass)
-    xs, fs, v = layout.x, layout.f_at_x, layout.layer_area
-    for i in range(1, 8):
-        assert abs(xs[i] * (fs[i - 1] - fs[i]) - v) < 1e-10
-
-
 def test_build_ziggurat_bad_bracket():
-    with pytest.raises(ZigguratError):
+    # a tail mass of 10 is no unit-mass density: even from the bracket's
+    # upper end the walk overshoots the peak
+    with pytest.raises(ZigguratError, match="upper end r = 20.0 overshoots"):
         build_ziggurat(
-            half_normal_pdf, 128, half_normal_tail_mass, r_bracket=(5.0, 20.0)
+            half_normal_pdf, 128, lambda r: 10.0, half_normal_pdf_inv, half_normal_tail_sampler
         )
 
 

@@ -7,7 +7,10 @@ from scipy.stats import chi2
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.core import RejectionCapError
 from patternblocks.distributions import (
-    DEFAULT_LEVELS,
+    B0,
+    B1,
+    B2,
+    B3,
     MIX_DOMAIN,
     SUPERLEVEL_BOX,
     gauss_mixture_xy,
@@ -23,17 +26,17 @@ SUPERLEVEL_AREA = 11.79266
 
 
 def test_slab_measure():
-    block = slab_block(MIX_DOMAIN, 0.0, DEFAULT_LEVELS.b0)
+    block = slab_block(MIX_DOMAIN, 0.0, B0)
     assert abs(block.measure - 1.6) < 1e-13
 
 
 def test_slab_sampler_symmetry_and_band():
-    block = slab_block(MIX_DOMAIN, 0.0, DEFAULT_LEVELS.b0)
+    block = slab_block(MIX_DOMAIN, 0.0, B0)
     source = UniformSource(12)
     xs = []
     for _ in range(100_000):
         (x1, _), w = block.sample_uniform(source)
-        assert 0.0 <= w <= DEFAULT_LEVELS.b0
+        assert 0.0 <= w <= B0
         xs.append(x1)
     assert abs(np.mean(xs)) < 0.03
 
@@ -62,12 +65,11 @@ def test_cylinder_radius_law():
 
 
 def test_cylinder_measures_match_closed_form():
-    lv = DEFAULT_LEVELS
-    b3 = cylinder_block((0.0, 0.0), 1.25, lv.b1, lv.b2)
-    b5 = cylinder_block((0.0, 0.0), 1.0, lv.b2, lv.b3)
-    assert abs(b3.measure - math.pi * (25.0 / 16.0) * (lv.b2 - lv.b1)) < 1e-15
+    b3 = cylinder_block((0.0, 0.0), 1.25, B1, B2)
+    b5 = cylinder_block((0.0, 0.0), 1.0, B2, B3)
+    assert abs(b3.measure - math.pi * (25.0 / 16.0) * (B2 - B1)) < 1e-15
     assert abs(b3.measure - 0.1948) < 0.0005
-    assert abs(b5.measure - math.pi * (lv.b3 - lv.b2)) < 1e-15
+    assert abs(b5.measure - math.pi * (B3 - B2)) < 1e-15
     assert abs(b5.measure - 0.3337) < 0.0005
 
 
@@ -101,9 +103,8 @@ def test_cylinder_rejects_bad_parameters():
 
 
 def test_disjoint_disks_never_double_hit():
-    lv = DEFAULT_LEVELS
-    b3 = cylinder_block((0.0, 0.0), 1.25, lv.b1, lv.b2)
-    b4 = cylinder_block((2.0, 2.0), 1.0, lv.b1, lv.b2)
+    b3 = cylinder_block((0.0, 0.0), 1.25, B1, B2)
+    b4 = cylinder_block((2.0, 2.0), 1.0, B1, B2)
     # centers are 2*sqrt(2) apart, farther than the radii sum 2.25
     assert math.hypot(2.0, 2.0) > 1.25 + 1.0
     source = UniformSource(15)
@@ -120,13 +121,12 @@ def test_disjoint_disks_never_double_hit():
 
 @pytest.fixture(scope="module")
 def level_block():
-    lv = DEFAULT_LEVELS
     return superlevel_block(
-        lv.b0,
+        B0,
         SUPERLEVEL_BOX,
         gauss_mixture_xy,
-        lv.b0,
-        lv.b1,
+        B0,
+        B1,
         domain_rect=MIX_DOMAIN,
     )
 
@@ -138,7 +138,7 @@ def test_superlevel_measure_is_the_exact_cell_count(level_block):
 
 
 def test_superlevel_area(level_block):
-    area = level_block.measure / (DEFAULT_LEVELS.b1 - DEFAULT_LEVELS.b0)
+    area = level_block.measure / (B1 - B0)
     assert abs(area - SUPERLEVEL_AREA) < 0.02
     assert abs(area - 11.8) < 0.1
 
@@ -147,8 +147,8 @@ def test_superlevel_samples_respect_restriction(level_block):
     source = UniformSource(16)
     for _ in range(2000):
         (x1, x2), w = level_block.sample_uniform(source)
-        assert gauss_mixture_xy(x1, x2) >= DEFAULT_LEVELS.b0
-        assert DEFAULT_LEVELS.b0 <= w <= DEFAULT_LEVELS.b1
+        assert gauss_mixture_xy(x1, x2) >= B0
+        assert B0 <= w <= B1
 
 
 def test_superlevel_inner_acceptance_frequency(level_block):
@@ -168,7 +168,7 @@ def test_superlevel_landing_proportional_to_area(level_block):
     # proportional to its area
     sub = ((-0.5, 0.5), (-0.5, 0.5))  # comfortably inside the level set
     (sx_lo, sx_hi), (sy_lo, sy_hi) = sub
-    assert float(gauss_mixture_xy(0.5, 0.5)) >= DEFAULT_LEVELS.b0
+    assert float(gauss_mixture_xy(0.5, 0.5)) >= B0
     source = UniformSource(18)
     n = 50_000
     hits = 0
@@ -184,11 +184,11 @@ def test_superlevel_landing_proportional_to_area(level_block):
 def test_superlevel_detects_leaky_bounding_box():
     with pytest.raises(ValueError, match="leaks"):
         superlevel_block(
-            DEFAULT_LEVELS.b0,
+            B0,
             ((0.0, 3.5), (-2.0, 3.5)),  # clips the level set on the left
             gauss_mixture_xy,
-            DEFAULT_LEVELS.b0,
-            DEFAULT_LEVELS.b1,
+            B0,
+            B1,
             domain_rect=MIX_DOMAIN,
         )
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from patternblocks import distributions
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.cli import DEFAULT_BINS, _parser, main
+from patternblocks.distributions import B0, B1, B2, B3
 from patternblocks.core import BlockSet, Density
 
 
@@ -148,20 +150,19 @@ def test_validate_zigg_passes(capsys):
 
 def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
     def corrupted():
-        lv = distributions.DEFAULT_LEVELS
         blocks = [
-            slab_block(distributions.MIX_DOMAIN, 0.0, lv.b0),
+            slab_block(distributions.MIX_DOMAIN, 0.0, B0),
             superlevel_block(
-                lv.b0,
+                B0,
                 distributions.SUPERLEVEL_BOX,
                 distributions.gauss_mixture_xy,
-                lv.b0,
-                lv.b1,
+                B0,
+                B1,
                 domain_rect=distributions.MIX_DOMAIN,
             ),
-            cylinder_block((0.0, 0.0), 1.25, lv.b1, lv.b2),
-            cylinder_block((2.0, 2.0), 1.0, lv.b1, lv.b2),
-            cylinder_block((0.0, 0.0), 0.5, lv.b2, lv.b3),  # halved radius
+            cylinder_block((0.0, 0.0), 1.25, B1, B2),
+            cylinder_block((2.0, 2.0), 1.0, B1, B2),
+            cylinder_block((0.0, 0.0), 0.5, B2, B3),  # halved radius
         ]
         return BlockSet(blocks)
 
@@ -184,7 +185,7 @@ def test_sample_rejection_cap_exit_code(capsys, monkeypatch):
         density=lambda: Density(
             dim=1, evaluate=lambda p: 0.5, domain_bounds=((0.0, 1.0),), K=0.5
         ),
-        cover=lambda layers: BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)]),
+        cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)]),
         probe_bounds=None,
         bins=None,
     )
@@ -221,7 +222,7 @@ def _constant_density_target(value):
         density=lambda: Density(
             dim=1, evaluate=lambda p: value, domain_bounds=((0.0, 1.0),), K=1.0
         ),
-        cover=lambda layers: BlockSet([rect_block(0.0, 1.0, 0.0, 1.0)]),
+        cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.0, 1.0)]),
         probe_bounds=None,
         bins=None,
     )
@@ -265,7 +266,6 @@ def test_bench_ziggurat_rate(capsys):
     code, out, _ = run_cli(
         capsys,
         "bench", "--dist", "half-normal-zigg", "--n", "20000", "--seed", "2",
-        "--layers", "128",
     )
     assert code == 0
     doc = json.loads(out)
@@ -307,9 +307,16 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code = main(["sample", "--dist", "arcsine-mod", "--n", "-5"])
     assert code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--dist", "arcsine-mod", "--n", "10", "--threads", "2"])
-    assert exc.value.code == 2
+    for argv in (
+        ["bench", "--dist", "arcsine-mod", "--n", "10", "--threads", "2"],
+        # only zigg-table has a layer count
+        ["sample", "--dist", "half-normal-zigg", "--n", "10", "--layers", "64"],
+        ["validate", "--dist", "half-normal-zigg", "--n", "10", "--layers", "64"],
+        ["bench", "--dist", "half-normal-zigg", "--n", "10", "--layers", "64"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
     for argv in (
         ["validate", "--bins", "0"],
@@ -330,7 +337,16 @@ def test_usage_errors_exit_two(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # each command opens --out before it builds a cover or layout
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("built before --out was opened")
+
+    target = distributions.TARGETS["arcsine-mod"]
+    monkeypatch.setitem(
+        distributions.TARGETS, "arcsine-mod", dataclasses.replace(target, cover=unbuildable)
+    )
+    monkeypatch.setattr(distributions, "half_normal_ziggurat", unbuildable)
     path = str(tmp_path / "missing" / "x.csv")
     for argv in (
         ["sample", "--dist", "arcsine-mod", "--n", "10"],
@@ -340,8 +356,30 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv, "--out", path)
         assert code == 2, argv
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert path in err
+        assert err.startswith(f"error: cannot write --out {path}: "), err
+        assert err.count("\n") == 1, err
+
+
+def _subcommands():
+    return next(
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def test_cli_options_are_pinned():
+    # a new flag needs a deliberate edit here
+    expected = {
+        "sample": {"--dist", "--n", "--seed", "--out", "--format"},
+        "validate": {"--dist", "--n", "--seed", "--bins", "--significance", "--out"},
+        "bench": {"--dist", "--n", "--seed"},
+        "zigg-table": {"--layers", "--out", "--format"},
+    }
+    commands = _subcommands()
+    assert set(commands) == set(expected)
+    for command, options in expected.items():
+        actions = commands[command]._actions
+        flags = {flag for a in actions for flag in a.option_strings} - {"-h", "--help"}
+        assert flags == options, command
 
 
 @pytest.mark.parametrize("command", ["bench", "validate"])
@@ -375,11 +413,9 @@ def test_validate_too_few_bins_fails_before_setup(capsys, monkeypatch):
 
 
 def test_dist_choices_are_the_registry():
-    commands = next(
-        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
+    commands = _subcommands()
     for command in ("sample", "validate", "bench"):
-        (dist,) = (a for a in commands.choices[command]._actions if a.dest == "dist")
+        (dist,) = (a for a in commands[command]._actions if a.dest == "dist")
         assert list(dist.choices) == list(distributions.TARGETS), command
 
 

@@ -294,7 +294,7 @@ def test_validate_skips_without_membership(arcsine_density):
 
 def test_validate_arcsine_cover_and_overlap(arcsine_density, arcsine_blocks):
     report = validate_blockset(
-        arcsine_blocks, arcsine_density, n_probe=100_000, tolerance=1e-12
+        arcsine_blocks, arcsine_density, n_probe=100_000
     )
     assert report.positivity.status == "pass"
     assert report.cover.status == "pass"
@@ -304,7 +304,7 @@ def test_validate_arcsine_cover_and_overlap(arcsine_density, arcsine_blocks):
 
 def test_validate_mixture_cover_and_overlap(mixture_density, mixture_blocks):
     report = validate_blockset(
-        mixture_blocks, mixture_density, n_probe=100_000, tolerance=1e-12
+        mixture_blocks, mixture_density, n_probe=100_000
     )
     assert report.all_passed()
 
@@ -484,8 +484,8 @@ def test_constructors_declare_height_bands(zigg_layout, zigg_blocks, mixture_blo
     assert rect_block(0.0, 1.0, 0.25, 0.75).height_band == (0.25, 0.75)
     assert zigg_blocks.blocks[-1].height_band == (0.0, zigg_layout.f_at_x[-1])
     assert [b.height_band for b in mixture_blocks.blocks[:2]] == [
-        (0.0, distributions.DEFAULT_LEVELS.b0),
-        (distributions.DEFAULT_LEVELS.b0, distributions.DEFAULT_LEVELS.b1),
+        (0.0, distributions.B0),
+        (distributions.B0, distributions.B1),
     ]
     assert PatternBlock(1.0, lambda s: ((0.0,), 0.0)).height_band == (-math.inf, math.inf)
     with pytest.raises(ValueError):

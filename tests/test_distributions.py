@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from patternblocks.core import exact_adoption_rate
 from patternblocks.distributions import (
-    DEFAULT_LEVELS,
+    B0,
+    B1,
+    B2,
+    B3,
     MIX_COEFF,
-    LevelConstants,
     arcsine_cdf,
     arcsine_cdf_inv,
     arcsine_modulated_mass,
@@ -155,19 +157,15 @@ def test_mixture_build_memory_is_bounded():
 
 
 def test_mixture_peaks_hit_level_constants():
-    lv = DEFAULT_LEVELS
-    assert float(gauss_mixture_xy(2.0, 2.0)) == lv.b2
-    assert float(gauss_mixture_xy(0.0, 0.0)) == lv.b3
+    assert float(gauss_mixture_xy(2.0, 2.0)) == B2
+    assert float(gauss_mixture_xy(0.0, 0.0)) == B3
 
 
 def test_level_ordering():
-    lv = DEFAULT_LEVELS
-    assert 0.0 < lv.b0 < lv.b1 < lv.b2 < lv.b3
-    assert lv.b0 == 1.0 / 40.0
-    assert lv.b1 == 1.0 / 15.0
-    assert abs(lv.b2 - MIX_COEFF * (math.exp(-8.0) + 0.5)) == 0.0
-    with pytest.raises(ValueError):
-        LevelConstants(b0=0.5, b1=0.4, b2=0.6, b3=0.7)
+    assert 0.0 < B0 < B1 < B2 < B3
+    assert B0 == 1.0 / 40.0
+    assert B1 == 1.0 / 15.0
+    assert abs(B2 - MIX_COEFF * (math.exp(-8.0) + 0.5)) == 0.0
 
 
 def test_mixture_blockset_structure(mixture_blocks):

@@ -200,7 +200,7 @@ def test_bin_probabilities_helpers():
     probs = bin_probabilities_1d(lambda a, b: b - a, np.linspace(0, 1, 5))
     assert np.allclose(probs, 0.25)
     grid = bin_probabilities_2d(
-        lambda x, y: np.ones_like(x * y), ((0, 1), (0, 1)), 4, cells_per_bin=8
+        lambda x, y: np.ones_like(x * y), ((0, 1), (0, 1)), 4
     )
     assert grid.shape == (4, 4)
     assert abs(grid.sum() - 1.0) < 1e-12
