@@ -33,10 +33,8 @@ from .core import (
 from .numeric import (
     GofReport,
     Histogram,
-    KsReport,
     QuadratureError,
     chi_square_gof,
-    ks_test_1d,
     quad_1d,
     quad_2d_grid,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "DensityValueError",
     "GofReport",
     "Histogram",
-    "KsReport",
     "PatternBlock",
     "PatternBlockSampler",
     "Point",
@@ -65,7 +62,6 @@ __all__ = [
     "cylinder_block",
     "envelope_block",
     "exact_adoption_rate",
-    "ks_test_1d",
     "quad_1d",
     "quad_2d_grid",
     "rect_block",

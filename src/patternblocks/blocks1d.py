@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import BlockSet, PatternBlock
 from .rng import UniformSource
@@ -76,8 +76,6 @@ def envelope_block(
     cdf_lo = envelope_cdf(a_lo)
     span = envelope_cdf(a_hi) - cdf_lo
     measure = b * span
-    if not measure > 0.0:
-        raise ValueError("envelope block has nonpositive measure")
 
     def sample(source: UniformSource):
         v = envelope_cdf_inv(cdf_lo + span * source.next_unit())
@@ -98,14 +96,15 @@ class ZigguratLayout:
     x holds 0 = x[0] < x[1] < ... < x[n_layers-1]; every rectangle layer
     [0, x[i]] x [f(x[i]), f(x[i-1])] has the common area layer_area, and so
     does the base block (rectangle under f(x[-1]) plus the whole tail).
-    tail_sampler(r, source) must draw exactly from f restricted to [r, inf).
+    tail_sampler(r, source) is required and must draw exactly from f
+    restricted to [r, inf): the base block samples the tail through it.
     """
 
     x: tuple[float, ...]
     f_at_x: tuple[float, ...]
     layer_area: float
     tail_mass_at_r: float
-    tail_sampler: Optional[Callable[[float, UniformSource], float]] = None
+    tail_sampler: Callable[[float, UniformSource], float]
 
     @property
     def n_layers(self) -> int:
@@ -205,8 +204,6 @@ def ziggurat_base_block(
     on [0, f(x)]. Both parts lie under the graph except for the rectangle's
     spillover above f on [0, r], which the generic acceptance test handles.
     """
-    if layout.tail_sampler is None:
-        raise ValueError("layout has no tail sampler; the base block needs one")
     r = layout.x[-1]
     f_r = layout.f_at_x[-1]
     v = layout.layer_area

@@ -125,13 +125,10 @@ class BlockSet:
         return len(self.blocks)
 
 
-def select_block(cumulative: Sequence[float], u: float) -> int:
-    """Smallest 0-based index i with u < cumulative[i].
-
-    Binary search over the nondecreasing cumulative weights. u must lie in
-    [0, 1); since the last entry is 1.0 an index always exists.
-    """
-    return bisect_right(cumulative, u)
+# select_block(cumulative, u): smallest index i with u < cumulative[i]; one
+# always exists for u in [0, 1), as the last entry is 1.0. The sampling loop
+# selects through it, so it stays an alias: a def would cost a call per attempt.
+select_block = bisect_right
 
 
 def exact_adoption_rate(density: Density, blockset: BlockSet) -> float:
@@ -166,7 +163,8 @@ def validate_blockset(
     """Statistical validation of the block-set contract against a density.
 
     Three checks:
-      positivity  every block measure is strictly positive (exact);
+      positivity  reports the block count and smallest measure; it always
+                  passes, as PatternBlock rejects a measure that is not > 0;
       cover       on a cell-centered quasi-grid of n_probe points x with
                   HEIGHT_STRATA heights in [0, f(x)], every probe (x, y)
                   with y <= f(x) - VALIDATE_TOLERANCE lies in some block;
@@ -183,12 +181,7 @@ def validate_blockset(
         raise ValueError("n_probe must be at least 1")
 
     measures = [b.measure for b in blockset.blocks]
-    if all(m > 0.0 for m in measures):
-        positivity = CheckResult("pass", f"{len(measures)} blocks, min measure {min(measures):.6g}")
-    else:
-        positivity = CheckResult("fail", "block with nonpositive measure")
-        skipped = CheckResult("skipped", "selection weights unusable")
-        return ValidationReport(positivity, skipped, skipped)
+    positivity = CheckResult("pass", f"{len(measures)} blocks, min measure {min(measures):.6g}")
 
     have_contains = all(b.contains is not None for b in blockset.blocks)
     bounds = probe_bounds if probe_bounds is not None else density.domain_bounds
@@ -315,15 +308,15 @@ def _block_name(blocks, i):
 class PatternBlockSampler:
     """Accept/reject sampler over a validated block set.
 
-    Each attempt draws one selection uniform, samples the selected block
-    uniformly, and accepts when the height lies under the density graph
-    (inclusive comparison; the boundary has measure zero, the choice is
-    fixed for determinism). attempts counts loop iterations and accepted
-    counts returned samples, so accepted / attempts estimates the adoption
-    rate. A rejected attempt whose density value is NaN or negative raises
-    DensityValueError; rejection_cap consecutive rejections within one
-    sample raise RejectionCapError. One sampler per thread; the underlying
-    source must not be shared.
+    Each attempt draws one selection uniform, picks a block with
+    select_block, samples that block uniformly, and accepts when the height
+    lies under the density graph (inclusive comparison; the boundary has
+    measure zero, the choice is fixed for determinism). attempts counts
+    loop iterations and accepted counts returned samples, so accepted /
+    attempts estimates the adoption rate. A rejected attempt whose density
+    value is NaN or negative raises DensityValueError; rejection_cap
+    consecutive rejections within one sample raise RejectionCapError. One
+    sampler per thread; the underlying source must not be shared.
     """
 
     def __init__(
@@ -351,6 +344,7 @@ class PatternBlockSampler:
         evaluate = self.density.evaluate
         blocks = self.blockset.blocks
         cumulative = self.blockset.cumulative
+        select = select_block
         source = self.source
         next_unit = source.next_unit
         cap = self.rejection_cap
@@ -361,7 +355,7 @@ class PatternBlockSampler:
             for _ in range(n):
                 consecutive = 0
                 while True:
-                    block = blocks[bisect_right(cumulative, next_unit())]
+                    block = blocks[select(cumulative, next_unit())]
                     point, w = block.sample_uniform(source)
                     attempts += 1
                     fx = evaluate(point)

@@ -1,18 +1,17 @@
-"""Quadrature and goodness-of-fit utilities used to validate samplers.
+"""Quadrature and chi-square goodness-of-fit utilities used to validate samplers.
 
 The integration routines here serve as independent oracles: expected bin
 probabilities are always computed by quadrature, never by sampling, so the
-checks stay decoupled from the samplers they judge.
+checks stay decoupled from the samplers they judge. The package has no KS
+test of its own; callers that want one use scipy.stats.kstest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 from scipy.stats import chi2
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
@@ -167,10 +166,6 @@ class Histogram:
     counts: np.ndarray
     total: int
 
-    @property
-    def dim(self) -> int:
-        return len(self.bin_edges)
-
     @classmethod
     def from_samples(cls, samples, bin_edges) -> "Histogram":
         """Histogram points (array of shape (n,) or (n, d)) on given edges.
@@ -261,24 +256,3 @@ def pool_small_bins(observed, expected):
     if len(exp_eff) < 2:
         raise TooFewBinsError("fewer than 2 effective bins after merging")
     return np.asarray(obs_eff), np.asarray(exp_eff), bins_merged
-
-
-@dataclass(frozen=True)
-class KsReport:
-    statistic: float
-    p_value: float
-
-
-def ks_test_1d(samples, cdf: Callable[[float], float]) -> KsReport:
-    """Two-sided Kolmogorov-Smirnov test with the asymptotic p-value."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = len(xs)
-    if n == 0:
-        raise ValueError("ks_test_1d needs at least one sample")
-    f = np.array([cdf(x) for x in xs])
-    grid = np.arange(1, n + 1) / n
-    d_plus = float(np.max(grid - f))
-    d_minus = float(np.max(f - (grid - 1.0 / n)))
-    statistic = max(d_plus, d_minus)
-    p_value = float(special.kolmogorov(math.sqrt(n) * statistic))
-    return KsReport(statistic, p_value)

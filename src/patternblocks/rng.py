@@ -133,7 +133,6 @@ class UniformSource:
         for _ in range(4):
             s, word = _splitmix64(s)
             state.append(word)
-        self.seed = seed
         self._lanes = None  # start states of the round being handed out
         self._first = state  # state at stream position 0
         self._units = None

@@ -196,18 +196,6 @@ def test_build_ziggurat_bad_bracket():
         )
 
 
-def test_base_block_requires_tail_sampler(zigg_layout):
-    stripped = type(zigg_layout)(
-        zigg_layout.x,
-        zigg_layout.f_at_x,
-        zigg_layout.layer_area,
-        zigg_layout.tail_mass_at_r,
-        None,
-    )
-    with pytest.raises(ValueError):
-        ziggurat_base_block(stripped, half_normal_pdf)
-
-
 def test_base_block_branch_probability(zigg_layout):
     r, f_r = zigg_layout.x[-1], zigg_layout.f_at_x[-1]
     assert abs(r * f_r / zigg_layout.layer_area - ZIGG_RECT_BRANCH) < 1e-6

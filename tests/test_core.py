@@ -273,17 +273,6 @@ def test_infinite_density_value_accepts_finite_heights():
 # validation
 
 
-def test_validate_positivity_failure(arcsine_density):
-    block = rect_block(0.0, 1.0, 0.0, 1.0)
-    object.__setattr__(block, "measure", 0.0)
-    blockset = BlockSet.__new__(BlockSet)
-    blockset.blocks = [block]
-    blockset.cumulative = [1.0]
-    blockset.total_measure = 0.0
-    report = validate_blockset(blockset, arcsine_density, n_probe=10)
-    assert report.positivity.status == "fail"
-
-
 def test_validate_skips_without_membership(arcsine_density):
     blind = PatternBlock(1.0, lambda s: ((s.next_unit(),), s.next_unit()))
     report = validate_blockset(BlockSet([blind]), arcsine_density, n_probe=10)

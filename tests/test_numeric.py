@@ -10,7 +10,6 @@ from patternblocks.numeric import (
     bin_probabilities_1d,
     bin_probabilities_2d,
     chi_square_gof,
-    ks_test_1d,
     quad_1d,
     quad_2d_grid,
 )
@@ -206,26 +205,3 @@ def test_bin_probabilities_helpers():
     assert abs(grid.sum() - 1.0) < 1e-12
     assert np.allclose(grid, 1.0 / 16.0)
 
-
-# ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov
-
-
-def test_ks_exact_grid():
-    n = 1000
-    grid = (np.arange(n) + 0.5) / n
-    report = ks_test_1d(grid, lambda x: x)
-    assert report.statistic < 1.0 / n
-
-
-def test_ks_shifted_misfit():
-    n = 100_000
-    rng = np.random.default_rng(9)
-    samples = rng.random(n) + 0.5
-    report = ks_test_1d(samples, lambda x: min(1.0, max(0.0, x)))
-    assert report.p_value < 1e-6
-
-
-def test_ks_empty_error():
-    with pytest.raises(ValueError):
-        ks_test_1d([], lambda x: x)
