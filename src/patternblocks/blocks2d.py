@@ -1,7 +1,7 @@
 """Two-dimensional block constructors.
 
 Slabs cover a full rectangle at a height band, superlevel blocks restrict a
-bounding-box sampler to {f >= level} by inner rejection, and cylinder
+bounding-box sampler to {f >= y_lo} by inner rejection, and cylinder
 blocks sit over disks sampled in polar coordinates via the closed-form
 radial inverse CDF r = d * sqrt(u).
 """
@@ -17,7 +17,7 @@ from .core import PatternBlock, RejectionCapError
 from .numeric import Rect, midpoint_bands
 from .rng import UniformSource
 
-DEFAULT_INNER_CAP = 1_000_000
+INNER_CAP = 1_000_000  # box proposals one superlevel sample may spend
 GRID = 2000  # cells per axis of the superlevel area count and leak scan
 
 
@@ -91,20 +91,19 @@ def cylinder_block(
 
 
 def superlevel_block(
-    level: float,
     bounding_rect: Rect,
     f_xy: Callable,
     y_lo: float,
     y_hi: float,
     domain_rect: Rect,
-    inner_cap: int = DEFAULT_INNER_CAP,
     label: str = "",
 ) -> PatternBlock:
-    """Superlevel set {f_xy >= level} times the height band [y_lo, y_hi].
+    """Superlevel set {f_xy >= y_lo} times the height band [y_lo, y_hi].
 
-    The footprint area is the exact count of cells of the GRID x GRID
-    midpoint grid over bounding_rect where f_xy >= level, times the cell
-    area (deterministic, so the selection weights carry no seed
+    The level is the band's floor, as in the paper's block {f >= b0} x
+    [b0, b1]. The footprint area is the exact count of cells of the GRID x
+    GRID midpoint grid over bounding_rect where f_xy >= y_lo, times the
+    cell area (deterministic, so the selection weights carry no seed
     dependence). f_xy must accept numpy arrays. A scan of the same grid
     over domain_rect asserts that no cell outside bounding_rect reaches the
     level, i.e. the box really contains the superlevel set. Both walk the
@@ -112,8 +111,9 @@ def superlevel_block(
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are
-    invisible to the outer accept/reject attempt counting. Draw order per
-    sample: (x1, x2) pairs until accepted, then the height.
+    invisible to the outer accept/reject attempt counting, and INNER_CAP
+    misses in a row raise RejectionCapError. Draw order per sample:
+    (x1, x2) pairs until accepted, then the height.
     """
     if not y_lo < y_hi:
         raise ValueError("need y_lo < y_hi")
@@ -124,11 +124,11 @@ def superlevel_block(
     w2 = x2_hi - x2_lo
 
     cells = sum(
-        int(np.count_nonzero(f_xy(xs, ys) >= level))
+        int(np.count_nonzero(f_xy(xs, ys) >= y_lo))
         for xs, ys in midpoint_bands(bounding_rect, GRID)
     )
     area = cells * (w1 / GRID) * (w2 / GRID)
-    _assert_box_adequate(level, bounding_rect, f_xy, domain_rect)
+    _assert_box_adequate(y_lo, bounding_rect, f_xy, domain_rect)
 
     band = y_hi - y_lo
     measure = area * band
@@ -136,19 +136,19 @@ def superlevel_block(
         raise ValueError("superlevel set has zero area at this resolution")
 
     def sample(source: UniformSource):
-        for _ in range(inner_cap):
+        for _ in range(INNER_CAP):
             x1 = x1_lo + w1 * source.next_unit()
             x2 = x2_lo + w2 * source.next_unit()
-            if f_xy(x1, x2) >= level:
+            if f_xy(x1, x2) >= y_lo:
                 y = y_lo + band * source.next_unit()
                 return (x1, x2), y
         raise RejectionCapError(
-            f"restriction sampler exhausted {inner_cap} proposals; "
+            f"restriction sampler exhausted {INNER_CAP} proposals; "
             "level and bounding box are inconsistent"
         )
 
     def contains(point, y):
-        return y_lo <= y <= y_hi and f_xy(point[0], point[1]) >= level
+        return y_lo <= y <= y_hi and f_xy(point[0], point[1]) >= y_lo
 
     return PatternBlock(
         measure, sample, contains, label or "superlevel", height_band=(y_lo, y_hi)

@@ -65,10 +65,12 @@ def _open_out(path):
         yield out
 
 
-def _write_samples(out, sampler, n, names, fmt):
-    """Draw n points in chunks and write each chunk as CSV rows or as the
-    items of one JSON array (json.dump's separators), so memory stays
-    bounded for any n. Floats are written as their repr."""
+def _write_rows(out, chunks, names, fmt):
+    """Write the rows of each chunk, one field per name, as CSV rows or as
+    the objects of one JSON array (json.dump's separators). Only one chunk
+    is held at a time, so memory stays bounded for any row count. Fields
+    are written as str: for ints and finite floats (their repr) that is
+    what json.dump writes too."""
     if fmt == "csv":
         head, sep, tail = ",".join(names) + "\n", "", ""
         row = ",".join(["{}"] * len(names)) + "\n"
@@ -77,8 +79,8 @@ def _write_samples(out, sampler, n, names, fmt):
         row = "{{" + ", ".join(f'"{name}": {{}}' for name in names) + "}}"
     out.write(head)
     lead = ""
-    for points in _chunks(sampler, n):
-        out.write(lead + sep.join([row.format(*p) for p in points]))
+    for rows in chunks:
+        out.write(lead + sep.join([row.format(*r) for r in rows]))
         lead = sep
     out.write(tail)
 
@@ -88,12 +90,11 @@ def cmd_sample(args) -> int:
         density = distributions.TARGETS[args.dist].density()
         blockset, sampler = _sampler(args, density)
         names = ["x"] if density.dim == 1 else ["x1", "x2"]
-        _write_samples(out, sampler, args.n, names, args.format)
+        _write_rows(out, _chunks(sampler, args.n), names, args.format)
     summary = {
         "attempts": sampler.attempts,
         "accepted": sampler.accepted,
-        # no attempts, no rate: null, since strict JSON has no NaN
-        "empirical_rate": sampler.empirical_rate if sampler.attempts else None,
+        "empirical_rate": sampler.empirical_rate,
         "exact_rate": exact_adoption_rate(density, blockset),
         "seed": args.seed,
     }
@@ -175,16 +176,7 @@ def cmd_zigg_table(args) -> int:
         rows = [(0, xs[0], fs[0], xs[-1] * fs[-1] + layout.tail_mass_at_r)]
         for i in range(1, layout.n_layers):
             rows.append((i, xs[i], fs[i], xs[i] * (fs[i - 1] - fs[i])))
-        if args.format == "csv":
-            out.write("i,x,f,area\n")
-            for i, x, fx, area in rows:
-                out.write(f"{i},{x!r},{fx!r},{area!r}\n")
-        else:
-            json.dump(
-                [{"i": i, "x": x, "f": fx, "area": area} for i, x, fx, area in rows],
-                out,
-            )
-            out.write("\n")
+        _write_rows(out, [rows], ["i", "x", "f", "area"], args.format)
     return 0
 
 

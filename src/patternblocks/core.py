@@ -20,7 +20,7 @@ from .rng import UniformSource
 
 Point = tuple[float, ...]
 
-DEFAULT_REJECTION_CAP = 1_000_000
+REJECTION_CAP = 1_000_000  # consecutive rejections that end a sample_many call
 
 VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap fraction
 OVERLAP_SEED = 0  # stream of validate_blockset's overlap probes
@@ -69,8 +69,8 @@ class PatternBlock:
 
     sample_uniform consumes draws from a UniformSource and returns
     ((coords...), height) distributed uniformly over the region. contains is
-    an optional membership test used by statistical validation; a block
-    without one cannot be probed for cover/overlap.
+    the region's membership test, through which validate_blockset probes
+    cover and overlap; every block must have one.
 
     height_band is a closed interval (lo, hi) holding every height the
     sampler returns and every height contains accepts. validate_blockset
@@ -81,7 +81,7 @@ class PatternBlock:
 
     measure: float
     sample_uniform: Callable[[UniformSource], tuple[Point, float]]
-    contains: Optional[Callable[[Point, float], bool]] = None
+    contains: Callable[[Point, float], bool]
     label: str = ""
     height_band: tuple[float, float] = (-math.inf, math.inf)
 
@@ -138,7 +138,7 @@ def exact_adoption_rate(density: Density, blockset: BlockSet) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     detail: str = ""
 
 
@@ -172,10 +172,10 @@ def validate_blockset(
                   in any other block (pairwise intersections have measure
                   zero, so interior double-hits indicate real overlap).
 
-    Cover and overlap need membership tests on every block involved; when
-    one is missing those checks are reported as "skipped", never passed.
-    probe_bounds replaces density.domain_bounds for the cover grid and must
-    be given when the domain is unbounded.
+    Cover and overlap ask the blocks' required membership tests, so every
+    check ends "pass" or "fail". probe_bounds replaces
+    density.domain_bounds for the cover grid and must be given when the
+    domain is unbounded.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be at least 1")
@@ -183,15 +183,8 @@ def validate_blockset(
     measures = [b.measure for b in blockset.blocks]
     positivity = CheckResult("pass", f"{len(measures)} blocks, min measure {min(measures):.6g}")
 
-    have_contains = all(b.contains is not None for b in blockset.blocks)
     bounds = probe_bounds if probe_bounds is not None else density.domain_bounds
-    finite = all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in bounds)
-
-    if not have_contains:
-        cover = CheckResult("skipped", "missing membership test on some block")
-        overlap = CheckResult("skipped", "missing membership test on some block")
-        return ValidationReport(positivity, cover, overlap)
-    if not finite:
+    if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in bounds):
         raise ValueError("cover probing needs finite probe_bounds for unbounded domains")
 
     cover = _cover_check(blockset, density, bounds, n_probe)
@@ -314,22 +307,16 @@ class PatternBlockSampler:
     measure zero, the choice is fixed for determinism). attempts counts
     loop iterations and accepted counts returned samples, so accepted /
     attempts estimates the adoption rate. A rejected attempt whose density
-    value is NaN or negative raises DensityValueError; rejection_cap
-    consecutive rejections within one sample raise RejectionCapError. One
-    sampler per thread; the underlying source must not be shared.
+    value is NaN or negative raises DensityValueError; REJECTION_CAP
+    consecutive rejections within one sample raise RejectionCapError.
+    empirical_rate is None before the first attempt. One sampler per
+    thread; the underlying source must not be shared.
     """
 
-    def __init__(
-        self,
-        density: Density,
-        blockset: BlockSet,
-        source: UniformSource,
-        rejection_cap: int = DEFAULT_REJECTION_CAP,
-    ):
+    def __init__(self, density: Density, blockset: BlockSet, source: UniformSource):
         self.density = density
         self.blockset = blockset
         self.source = source
-        self.rejection_cap = rejection_cap
         self.attempts = 0
         self.accepted = 0
 
@@ -347,7 +334,7 @@ class PatternBlockSampler:
         select = select_block
         source = self.source
         next_unit = source.next_unit
-        cap = self.rejection_cap
+        cap = REJECTION_CAP
         points = []
         append = points.append
         attempts = 0
@@ -378,5 +365,5 @@ class PatternBlockSampler:
         return points
 
     @property
-    def empirical_rate(self) -> float:
-        return self.accepted / self.attempts if self.attempts else float("nan")
+    def empirical_rate(self) -> Optional[float]:
+        return self.accepted / self.attempts if self.attempts else None

@@ -10,8 +10,8 @@ Three targets:
 * the half-normal with an equal-area ziggurat layout, the classical
   special case of the block construction.
 
-TARGETS holds each target under its CLI name, with the factories of its
-density and cover and its chi-square bin layout.
+TARGETS holds each target under its CLI name: the factories of its density
+and cover themselves, and its chi-square bin layout.
 """
 
 from __future__ import annotations
@@ -167,21 +167,21 @@ MIX_DISKS = (
 )
 
 
-def _gauss_line_integral(mu: float) -> float:
-    """Integral of exp(-(x - mu)^2) over [-4, 4], from math.erf."""
-    return 0.5 * math.sqrt(math.pi) * (math.erf(4.0 - mu) - math.erf(-4.0 - mu))
+def _gauss_segment(a: float, b: float, mu: float) -> float:
+    """Integral of exp(-(x - mu)^2) over [a, b], from math.erf."""
+    return 0.5 * math.sqrt(math.pi) * (math.erf(b - mu) - math.erf(a - mu))
 
 
 def gauss_mixture_density() -> Density:
     """Mixture density with its mass in closed form.
 
     Each component factors over the axes, so K = MIX_COEFF * (S(0)^2 +
-    S(2)^2 / 2) with S(mu) the integral of exp(-(x - mu)^2) over [-4, 4].
+    S(2)^2 / 2) with S(mu) = _gauss_segment(-4, 4, mu).
     The coefficient very nearly normalizes the truncated mixture: K - 1 is
     about 3.3e-8.
     """
     mass = MIX_COEFF * (
-        _gauss_line_integral(0.0) ** 2 + _gauss_line_integral(2.0) ** 2 / 2
+        _gauss_segment(-4.0, 4.0, 0.0) ** 2 + _gauss_segment(-4.0, 4.0, 2.0) ** 2 / 2
     )
 
     def evaluate(point):
@@ -204,13 +204,7 @@ def gauss_mixture_blockset() -> BlockSet:
     blocks = [
         slab_block(MIX_DOMAIN, 0.0, B0, label="slab"),
         superlevel_block(
-            B0,
-            SUPERLEVEL_BOX,
-            gauss_mixture_xy,
-            B0,
-            B1,
-            domain_rect=MIX_DOMAIN,
-            label="superlevel",
+            SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, domain_rect=MIX_DOMAIN, label="superlevel"
         ),
     ]
     for center, radius, y_lo, y_hi in MIX_DISKS:
@@ -304,8 +298,15 @@ def _arcsine_modulated_bins(n: int):
 
 
 def _gauss_mixture_bins(n: int):
+    # each component factors over the axes, so a bin's mass is a product
+    # of segment integrals, as in gauss_mixture_density's K
     edges = np.linspace(-4.0, 4.0, n + 1)
-    return (edges, edges), numeric.bin_probabilities_2d(gauss_mixture_xy, MIX_DOMAIN, n)
+    s0, s2 = (
+        np.array([_gauss_segment(a, b, mu) for a, b in zip(edges[:-1], edges[1:])])
+        for mu in (0.0, 2.0)
+    )
+    masses = MIX_COEFF * (np.outer(s0, s0) + np.outer(s2, s2) / 2)
+    return (edges, edges), masses / masses.sum()
 
 
 def _half_normal_bins(n: int):
@@ -318,11 +319,12 @@ def _half_normal_bins(n: int):
 
 @dataclass(frozen=True)
 class Target:
-    """A shipped target: its density and its one fixed cover, built on demand.
+    """A shipped target: the factories of its density and its one fixed cover.
 
     probe_bounds replaces the density's domain in the cover scan (None keeps
     it). bins(n) returns (edges, probs): n chi-square bins per axis and
-    their probabilities by quadrature of the normalized density.
+    their probabilities under the normalized density. A swapped factory
+    takes effect only through a replaced registry entry.
     """
 
     density: Callable[[], Density]
@@ -331,24 +333,22 @@ class Target:
     bins: Callable[[int], tuple]
 
 
-# The lambdas look each factory up when it is called, so a replaced module
-# attribute (a test's corrupted cover, a timing wrapper) takes effect.
 TARGETS = {
     "arcsine-mod": Target(
-        density=lambda: arcsine_modulated_density(),
-        cover=lambda: arcsine_modulated_blockset(),
+        density=arcsine_modulated_density,
+        cover=arcsine_modulated_blockset,
         probe_bounds=None,
         bins=_arcsine_modulated_bins,
     ),
     "gauss-mix-2d": Target(
-        density=lambda: gauss_mixture_density(),
-        cover=lambda: gauss_mixture_blockset(),
+        density=gauss_mixture_density,
+        cover=gauss_mixture_blockset,
         probe_bounds=None,
         bins=_gauss_mixture_bins,
     ),
     "half-normal-zigg": Target(
-        density=lambda: half_normal_density(),
-        cover=lambda: half_normal_ziggurat_blockset(),
+        density=half_normal_density,
+        cover=half_normal_ziggurat_blockset,
         probe_bounds=((0.0, HALF_NORMAL_PROBE_HI),),
         bins=_half_normal_bins,
     ),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from patternblocks import blocks2d
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.core import RejectionCapError
 from patternblocks.distributions import (
@@ -121,14 +122,7 @@ def test_disjoint_disks_never_double_hit():
 
 @pytest.fixture(scope="module")
 def level_block():
-    return superlevel_block(
-        B0,
-        SUPERLEVEL_BOX,
-        gauss_mixture_xy,
-        B0,
-        B1,
-        domain_rect=MIX_DOMAIN,
-    )
+    return superlevel_block(SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, domain_rect=MIX_DOMAIN)
 
 
 def test_superlevel_measure_is_the_exact_cell_count(level_block):
@@ -184,7 +178,6 @@ def test_superlevel_landing_proportional_to_area(level_block):
 def test_superlevel_detects_leaky_bounding_box():
     with pytest.raises(ValueError, match="leaks"):
         superlevel_block(
-            B0,
             ((0.0, 3.5), (-2.0, 3.5)),  # clips the level set on the left
             gauss_mixture_xy,
             B0,
@@ -196,18 +189,19 @@ def test_superlevel_detects_leaky_bounding_box():
 def test_superlevel_rejects_empty_region():
     with pytest.raises(ValueError, match="zero area"):
         superlevel_block(
-            1.0, SUPERLEVEL_BOX, gauss_mixture_xy, 0.0, 1.0,
+            SUPERLEVEL_BOX, gauss_mixture_xy, 1.0, 2.0,
             domain_rect=MIX_DOMAIN,
         )
 
 
-def test_superlevel_inner_cap_fires():
+def test_superlevel_inner_cap_fires(monkeypatch):
     def needle(x1, x2):
         return np.where(x1 < 1e-3, 1.0, 0.0)
 
     block = superlevel_block(
-        0.5, ((0.0, 1.0), (0.0, 1.0)), needle, 0.0, 1.0,
-        domain_rect=((0.0, 1.0), (0.0, 1.0)), inner_cap=20,
+        ((0.0, 1.0), (0.0, 1.0)), needle, 0.5, 1.0,
+        domain_rect=((0.0, 1.0), (0.0, 1.0)),
     )
+    monkeypatch.setattr(blocks2d, "INNER_CAP", 20)
     with pytest.raises(RejectionCapError):
         block.sample_uniform(UniformSource(19))

@@ -113,6 +113,23 @@ def test_zigg_table_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ZIGG_TABLE_128_SHA256
 
 
+# JSON output on stdout, generated the same way from commit 6c7edab, while
+# zigg-table still had a JSON writer of its own.
+GOLDEN_JSON_SHA256 = {
+    ("zigg-table", "--layers", "128", "--format", "json"):
+        "fbb6961fb5806e915b4af0641f74f2cf1144905318d6d9fb37da56db38cbfcef",
+    ("sample", "--dist", "gauss-mix-2d", "--n", "1000", "--seed", "42", "--format", "json"):
+        "e2d8b71fe1bd8c85517559e69a974cc60cad22aea2c2b8e9a3101b2e6c04e195",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_JSON_SHA256))
+def test_json_output_matches_golden_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv]
+
+
 def test_sample_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -153,7 +170,6 @@ def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
         blocks = [
             slab_block(distributions.MIX_DOMAIN, 0.0, B0),
             superlevel_block(
-                B0,
                 distributions.SUPERLEVEL_BOX,
                 distributions.gauss_mixture_xy,
                 B0,
@@ -166,7 +182,10 @@ def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
         ]
         return BlockSet(blocks)
 
-    monkeypatch.setattr(distributions, "gauss_mixture_blockset", corrupted)
+    target = distributions.TARGETS["gauss-mix-2d"]
+    monkeypatch.setitem(
+        distributions.TARGETS, "gauss-mix-2d", dataclasses.replace(target, cover=corrupted)
+    )
     code, out, _ = run_cli(
         capsys,
         "validate", "--dist", "gauss-mix-2d", "--n", "5000", "--seed", "1",
@@ -403,13 +422,27 @@ def test_validate_too_few_bins_fails_before_setup(capsys, monkeypatch):
     def unbuildable(*args, **kwargs):
         raise AssertionError("cover built before the bin check")
 
-    monkeypatch.setattr(distributions, "gauss_mixture_blockset", unbuildable)
+    target = distributions.TARGETS["gauss-mix-2d"]
+    monkeypatch.setitem(
+        distributions.TARGETS, "gauss-mix-2d", dataclasses.replace(target, cover=unbuildable)
+    )
     code, out, err = run_cli(
         capsys, "validate", "--dist", "gauss-mix-2d", "--n", "3", "--bins", "2"
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_validate_mixture_bin_cost_stays_flat(capsys):
+    # per-bin quadrature took about 10 s to reach this usage error
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "validate", "--dist", "gauss-mix-2d", "--n", "10", "--bins", "256"
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert "too small for --bins 256" in err
 
 
 def test_dist_choices_are_the_registry():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patternblocks import distributions
+from patternblocks import core, distributions
 from patternblocks.blocks1d import rect_block
 from patternblocks.blocks2d import cylinder_block
 from patternblocks.core import (
@@ -107,9 +107,9 @@ def test_density_rejects_bad_inputs():
 
 def test_pattern_block_rejects_nonpositive_measure():
     with pytest.raises(ValueError):
-        PatternBlock(0.0, lambda s: ((0.0,), 0.0))
+        PatternBlock(0.0, lambda s: ((0.0,), 0.0), lambda p, y: True)
     with pytest.raises(ValueError):
-        PatternBlock(math.inf, lambda s: ((0.0,), 0.0))
+        PatternBlock(math.inf, lambda s: ((0.0,), 0.0), lambda p, y: True)
 
 
 def test_blockset_requires_blocks():
@@ -187,15 +187,14 @@ def test_arcsine_empirical_rate(arcsine_density, arcsine_blocks):
     assert abs(sampler.empirical_rate - 2.0 / 3.0) < 0.015
 
 
-def test_rejection_cap_fires():
+def test_rejection_cap_fires(monkeypatch):
     # block sits entirely above the graph, so nothing is ever accepted
     density = Density(
         dim=1, evaluate=lambda p: 0.5, domain_bounds=((0.0, 1.0),), K=0.5
     )
     blockset = BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)])
-    sampler = PatternBlockSampler(
-        density, blockset, UniformSource(0), rejection_cap=500
-    )
+    monkeypatch.setattr(core, "REJECTION_CAP", 500)
+    sampler = PatternBlockSampler(density, blockset, UniformSource(0))
     with pytest.raises(RejectionCapError):
         sampler.sample_one()
 
@@ -208,32 +207,30 @@ def _scripted_density(values):
     )
 
 
-def test_counters_exact_after_cap_error_mid_batch():
+def test_counters_exact_after_cap_error_mid_batch(monkeypatch):
     # five accepted attempts, then nothing under the graph
+    monkeypatch.setattr(core, "REJECTION_CAP", 50)
     sampler = PatternBlockSampler(
         _scripted_density([1.0] * 5),
         BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]),
         UniformSource(3),
-        rejection_cap=50,
     )
     with pytest.raises(RejectionCapError):
         sampler.sample_many(10)
     assert (sampler.accepted, sampler.attempts) == (5, 55)
 
 
-def test_cap_counts_consecutive_rejections_per_sample():
+def test_cap_counts_consecutive_rejections_per_sample(monkeypatch):
     # every sample takes two rejections, then an acceptance
     script = [0.0, 0.0, 1.0] * 100
     blockset = BlockSet([rect_block(0.0, 1.0, 0.1, 0.5)])
-    sampler = PatternBlockSampler(
-        _scripted_density(script), blockset, UniformSource(4), rejection_cap=3
-    )
+    monkeypatch.setattr(core, "REJECTION_CAP", 3)
+    sampler = PatternBlockSampler(_scripted_density(script), blockset, UniformSource(4))
     assert len(sampler.sample_many(100)) == 100
     assert (sampler.accepted, sampler.attempts) == (100, 300)
 
-    sampler = PatternBlockSampler(
-        _scripted_density(script), blockset, UniformSource(4), rejection_cap=2
-    )
+    monkeypatch.setattr(core, "REJECTION_CAP", 2)
+    sampler = PatternBlockSampler(_scripted_density(script), blockset, UniformSource(4))
     with pytest.raises(RejectionCapError):
         sampler.sample_many(100)
     assert (sampler.accepted, sampler.attempts) == (0, 2)
@@ -271,14 +268,6 @@ def test_infinite_density_value_accepts_finite_heights():
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def test_validate_skips_without_membership(arcsine_density):
-    blind = PatternBlock(1.0, lambda s: ((s.next_unit(),), s.next_unit()))
-    report = validate_blockset(BlockSet([blind]), arcsine_density, n_probe=10)
-    assert report.cover.status == "skipped"
-    assert report.overlap.status == "skipped"
-    assert not report.all_passed()
 
 
 def test_validate_arcsine_cover_and_overlap(arcsine_density, arcsine_blocks):
@@ -476,9 +465,10 @@ def test_constructors_declare_height_bands(zigg_layout, zigg_blocks, mixture_blo
         (0.0, distributions.B0),
         (distributions.B0, distributions.B1),
     ]
-    assert PatternBlock(1.0, lambda s: ((0.0,), 0.0)).height_band == (-math.inf, math.inf)
+    bare = PatternBlock(1.0, lambda s: ((0.0,), 0.0), lambda p, y: True)
+    assert bare.height_band == (-math.inf, math.inf)
     with pytest.raises(ValueError):
-        PatternBlock(1.0, lambda s: ((0.0,), 0.0), height_band=(1.0, 0.0))
+        PatternBlock(1.0, lambda s: ((0.0,), 0.0), lambda p, y: True, height_band=(1.0, 0.0))
 
 
 def test_validate_flags_samples_outside_declared_band():

@@ -14,6 +14,8 @@ from patternblocks.distributions import (
     B2,
     B3,
     MIX_COEFF,
+    MIX_DOMAIN,
+    TARGETS,
     arcsine_cdf,
     arcsine_cdf_inv,
     arcsine_modulated_mass,
@@ -30,6 +32,7 @@ from patternblocks.distributions import (
     half_normal_tail_sampler,
     modulation,
 )
+from patternblocks.numeric import bin_probabilities_2d
 from patternblocks.rng import UniformSource
 
 # frozen from the tanh-sinh quadrature of the arcsine pdf over [0, 1/8]
@@ -193,6 +196,14 @@ def test_mixture_array_broadcasting():
 def test_mixture_density_zero_outside_domain(mixture_density):
     assert mixture_density.evaluate((4.5, 0.0)) == 0.0
     assert mixture_density.evaluate((0.0, 0.0)) > 0.0
+
+
+def test_mixture_bins_match_quadrature_oracle():
+    # the closed-form bins against the independent midpoint quadrature
+    (edges, _), probs = TARGETS["gauss-mix-2d"].bins(16)
+    oracle = bin_probabilities_2d(gauss_mixture_xy, MIX_DOMAIN, 16)
+    assert len(edges) == 17
+    assert np.max(np.abs(probs / oracle - 1.0)) < 2e-4
 
 
 # ---------------------------------------------------------------------------

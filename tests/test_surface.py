@@ -1,7 +1,10 @@
-"""The names other code reaches the package by: the public exports, and the
-hooks the benchmark's traced run (perfbench/traced.py) looks up by name."""
+"""The names other code reaches the package by: the public exports, the
+parameters of the library's constructors, and the hooks the benchmark's
+traced run (perfbench/traced.py) looks up by name."""
 
+import dataclasses
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -49,6 +52,26 @@ def test_public_surface_is_pinned():
     assert patternblocks.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(patternblocks, name) is not None
+
+
+def _parameters(fn):
+    return set(inspect.signature(fn).parameters)
+
+
+def test_library_knobs_are_pinned():
+    # caps and levels are module constants; a new parameter or defaulted
+    # field needs a deliberate edit here
+    assert _parameters(patternblocks.PatternBlockSampler.__init__) == {
+        "self", "density", "blockset", "source",
+    }
+    assert _parameters(patternblocks.superlevel_block) == {
+        "bounding_rect", "f_xy", "y_lo", "y_hi", "domain_rect", "label",
+    }
+    defaulted = {
+        f.name for f in dataclasses.fields(patternblocks.PatternBlock)
+        if f.default is not dataclasses.MISSING
+    }
+    assert defaulted == {"label", "height_band"}
 
 
 @pytest.fixture(scope="module")
