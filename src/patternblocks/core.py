@@ -24,7 +24,7 @@ REJECTION_CAP = 1_000_000  # consecutive rejections that end a sample_many call
 
 VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap fraction
 OVERLAP_SEED = 0  # stream of validate_blockset's overlap probes
-HEIGHT_STRATA = 8  # cover probe heights per grid point
+HEIGHT_RUNGS = 8  # cover probe heights per grid point, from 0 up to the graph
 
 
 class RejectionCapError(RuntimeError):
@@ -165,9 +165,9 @@ def validate_blockset(
     Three checks:
       positivity  reports the block count and smallest measure; it always
                   passes, as PatternBlock rejects a measure that is not > 0;
-      cover       on a cell-centered quasi-grid of n_probe points x with
-                  HEIGHT_STRATA heights in [0, f(x)], every probe (x, y)
-                  with y <= f(x) - VALIDATE_TOLERANCE lies in some block;
+      cover       on a cell-centered quasi-grid of n_probe points x, every
+                  probe (x, y) lies in some block, for HEIGHT_RUNGS evenly
+                  spaced heights y from 0 to f(x) - VALIDATE_TOLERANCE;
       overlap     Monte Carlo: uniform samples of each block must not land
                   in any other block (pairwise intersections have measure
                   zero, so interior double-hits indicate real overlap).
@@ -210,25 +210,24 @@ def _probe_points(bounds, n_probe):
 
 
 def _cover_check(blockset, density, bounds, n_probe):
-    # Each stratum remembers the block that last covered it and asks that
-    # block first: probes walk the grid in order, so a stratum's height
+    # Each rung remembers the block that last covered it and asks that
+    # block first: probes walk the grid in order, so a rung's height
     # moves slowly and the hint nearly always hits. Whether some block
     # covers a probe does not depend on the order the blocks are asked in.
     blocks = blockset.blocks
     tests = [b.contains for b in blocks]
     evaluate = density.evaluate
-    hints = [0] * HEIGHT_STRATA
+    top = HEIGHT_RUNGS - 1
+    hints = [0] * HEIGHT_RUNGS
     violations = 0
-    worst = 0.0
+    missed = set()  # rungs with an uncovered probe
     checked = 0
     for point in _probe_points(bounds, n_probe):
         fx = evaluate(point)
         if not (fx > VALIDATE_TOLERANCE) or math.isinf(fx):
             continue
-        for j in range(HEIGHT_STRATA):
-            y = fx * (j + 0.5) / HEIGHT_STRATA
-            if y > fx - VALIDATE_TOLERANCE:
-                continue
+        for j in range(HEIGHT_RUNGS):
+            y = (fx - VALIDATE_TOLERANCE) * j / top
             checked += 1
             hit = hints[j]
             if not tests[hit](point, y):
@@ -238,7 +237,7 @@ def _cover_check(blockset, density, bounds, n_probe):
                 )
                 if hit is None:
                     violations += 1
-                    worst = max(worst, fx - y)
+                    missed.add(j)
                     continue
                 hints[j] = hit
             lo, hi = blocks[hit].height_band
@@ -250,7 +249,8 @@ def _cover_check(blockset, density, bounds, n_probe):
     if violations == 0:
         return CheckResult("pass", f"{checked} probes, 0 uncovered")
     return CheckResult(
-        "fail", f"{violations} of {checked} probes uncovered, worst gap {worst:.3e}"
+        "fail", f"{violations} of {checked} probes uncovered, at heights "
+        f"[{min(missed) / top:.3g}, {max(missed) / top:.3g}] * f(x)"
     )
 
 

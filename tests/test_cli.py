@@ -64,24 +64,25 @@ def test_sample_output_is_byte_stable(tmp_path, capsys):
 
 
 # SHA-256 of the CLI's output bytes, generated with Python 3.11 and numpy 2.4
-# on x86-64 Linux from commit 8920e10 (before the target registry), so any
-# change to a sample stream or to the layer table fails here on purpose.
+# on x86-64 Linux, so any change to a sample stream or to the layer table
+# fails here on purpose. The sample digests come from the PCG64 stream of
+# rng.UniformSource; the layer table draws no uniforms and its digest dates
+# from commit 8920e10 (before the target registry).
 GOLDEN_SAMPLE_SHA256 = {
-    ("arcsine-mod", 2000): "900ad82f9f38a539ce561ef0a7e0fee641acf7a0e16bf3fc494321550630f3b8",
-    ("half-normal-zigg", 2000): "296ff7a6fc095b601e9713343622a3cd504cb9feda1345d5201a6d49def01734",
-    ("gauss-mix-2d", 1000): "89a824e24c90134a46b28b074fe3e27c2ddc2282a46640f5a50b2f10f1913f58",
+    ("arcsine-mod", 2000): "0b7b29d647e325a3f8bfa3ac728b14a1a26ba159691767a02984043cf860aa33",
+    ("half-normal-zigg", 2000): "1b707eddc6bbabfbcb087f2f213acd7db7942a472513878dc4caffe3e36efda2",
+    ("gauss-mix-2d", 1000): "8fcaf8e8be7e8fbcc68426923a074b066117ce2f0ed81c3c8316df49b665770b",
 }
 GOLDEN_ZIGG_TABLE_128_SHA256 = "8303f61b1911a43735ba23e8993610607bb89aab804971f66d026bf3371b0440"
 
 
-# Longer runs, generated the same way from commit 60005a5 (the scalar
-# generator, before 65,536-word rounds and chunked output). Their streams
-# cross at least one round boundary of rng.UniformSource (about 91k and 75k
-# draws) and several 4096-row output chunks; the JSON run pins that format.
+# Longer runs, generated the same way. Their streams cross many 4096-word
+# hand-outs of rng.UniformSource (about 91k and 75k draws) and several
+# 4096-row output chunks; the JSON run pins that format.
 GOLDEN_LONG_SAMPLE_SHA256 = {
-    ("half-normal-zigg", 30000, "csv"): "b846aa1b9a7f80d1eb464e13418c14e62c5c2cce40a4e9b155877c75be607b7e",
-    ("gauss-mix-2d", 6000, "csv"): "50844439d81e4215ab851025fd5397ba521f9f9e343b92c6309453194dc7af0d",
-    ("arcsine-mod", 5000, "json"): "3a9d0deed4bae162a5e34ce5316999e3121191bf514b45271c2c9f402ed02491",
+    ("half-normal-zigg", 30000, "csv"): "08d9f208f808b1ac3c06fd790c765386ed0b8a03a3ec8292ccb075d9c583d651",
+    ("gauss-mix-2d", 6000, "csv"): "8afce0a5f6cd032a0453a89ad4c90d20cc4916454c55488c6fac7fd4b9c4a80f",
+    ("arcsine-mod", 5000, "json"): "aa155917c680215e9b1ab62c48fa18d06bf26b556434cd3469864942930e85a6",
 }
 
 
@@ -113,13 +114,14 @@ def test_zigg_table_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ZIGG_TABLE_128_SHA256
 
 
-# JSON output on stdout, generated the same way from commit 6c7edab, while
-# zigg-table still had a JSON writer of its own.
+# JSON output on stdout, generated the same way. The layer-table digest
+# dates from commit 6c7edab, while zigg-table still had a JSON writer of its
+# own; the mixture sample digest comes from the PCG64 stream.
 GOLDEN_JSON_SHA256 = {
     ("zigg-table", "--layers", "128", "--format", "json"):
         "fbb6961fb5806e915b4af0641f74f2cf1144905318d6d9fb37da56db38cbfcef",
     ("sample", "--dist", "gauss-mix-2d", "--n", "1000", "--seed", "42", "--format", "json"):
-        "e2d8b71fe1bd8c85517559e69a974cc60cad22aea2c2b8e9a3101b2e6c04e195",
+        "05e1a4644a636b296f59a5ebac120f67526b79b93bd7c2735d8d35e99db68971",
 }
 
 

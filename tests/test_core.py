@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternblocks import core, distributions
-from patternblocks.blocks1d import rect_block
+from patternblocks.blocks1d import envelope_block, rect_block
 from patternblocks.blocks2d import cylinder_block
 from patternblocks.core import (
     BlockSet,
@@ -20,7 +20,12 @@ from patternblocks.core import (
     select_block,
     validate_blockset,
 )
-from patternblocks.distributions import arcsine_cdf, arcsine_strip_scale
+from patternblocks.distributions import (
+    arcsine_cdf,
+    arcsine_cdf_inv,
+    arcsine_pdf,
+    arcsine_strip_scale,
+)
 from patternblocks.rng import UniformSource
 
 
@@ -322,9 +327,9 @@ def test_validate_needs_finite_probe_bounds(half_normal_density, zigg_blocks):
 # every block for every probe, so the two must report the same results.
 
 
-def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, strata=8):
+def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, rungs=8):
     violations = 0
-    worst = 0.0
+    missed = set()
     checked = 0
     if len(bounds) == 1:
         (lo, hi), = bounds
@@ -344,18 +349,17 @@ def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, strata
         fx = density.evaluate(point)
         if not (fx > tolerance) or math.isinf(fx):
             continue
-        for j in range(strata):
-            y = fx * (j + 0.5) / strata
-            if y > fx - tolerance:
-                continue
+        for j in range(rungs):
+            y = (fx - tolerance) * j / (rungs - 1)
             checked += 1
             if not any(b.contains(point, y) for b in blockset.blocks):
                 violations += 1
-                worst = max(worst, fx - y)
+                missed.add(j / (rungs - 1))
     if violations == 0:
         return CheckResult("pass", f"{checked} probes, 0 uncovered")
     return CheckResult(
-        "fail", f"{violations} of {checked} probes uncovered, worst gap {worst:.3e}"
+        "fail", f"{violations} of {checked} probes uncovered, at heights "
+        f"[{min(missed):.3g}, {max(missed):.3g}] * f(x)"
     )
 
 
@@ -412,7 +416,9 @@ def test_validate_matches_reference_on_shipped_covers(
         assert report.all_passed()
 
 
-def test_validate_matches_reference_on_broken_covers(mixture_density, mixture_blocks):
+def test_validate_matches_reference_on_broken_covers(
+    arcsine_density, mixture_density, mixture_blocks
+):
     density = _uniform_density()
     uncovered = _assert_matches_reference(
         BlockSet([rect_block(0.0, 0.5, 0.0, 1.0)]), density, 1000
@@ -434,6 +440,27 @@ def test_validate_matches_reference_on_broken_covers(mixture_density, mixture_bl
         _halved_radius_blocks(mixture_blocks), mixture_density, 20_000
     )
     assert halved.cover.status == "fail"
+    # both covers miss only a thin band just under the graph
+    ramp = Density(
+        dim=1,
+        evaluate=lambda p: 2.0 * p[0] if 0.0 <= p[0] <= 1.0 else 0.0,
+        domain_bounds=((0.0, 1.0),),
+        K=1.0,
+    )
+    short_rect = _assert_matches_reference(
+        BlockSet([rect_block(0.0, 1.0, 0.0, 1.9)]), ramp, 20_000
+    )
+    assert short_rect.cover == CheckResult(
+        "fail", "1000 of 160000 probes uncovered, at heights [1, 1] * f(x)"
+    )
+    short_strips = BlockSet([
+        envelope_block(
+            (i - 1) / 8, i / 8, 1.9 if i % 2 else 1.0, arcsine_pdf, arcsine_cdf, arcsine_cdf_inv
+        )
+        for i in range(1, 9)
+    ])
+    truncated = _assert_matches_reference(short_strips, arcsine_density, 20_000)
+    assert truncated.cover.status == "fail"
 
 
 def test_validate_contains_budget(half_normal_density, zigg_blocks):
