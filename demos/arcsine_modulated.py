@@ -16,7 +16,6 @@ from patternblocks.distributions import (
     arcsine_modulated_density,
     arcsine_modulated_mass,
 )
-from patternblocks.numeric import Histogram
 
 density = arcsine_modulated_density()
 blockset = arcsine_modulated_blockset()
@@ -37,12 +36,12 @@ print(f"\n10000 samples took {sampler.attempts} attempts "
 
 # density-scale histogram against quadrature bin masses
 edges = np.linspace(0.0, 1.0, 21)
-hist = Histogram.from_samples([p[0] for p in points], edges)
+density_view, _ = np.histogram([p[0] for p in points], bins=edges, density=True)
 widths = np.diff(edges)
 expected = np.array(
     [arcsine_modulated_mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
 ) / widths
 print("\n bin        target   empirical")
-for k, (lo, d, e) in enumerate(zip(edges[:-1], hist.density(), expected)):
+for k, (lo, d, e) in enumerate(zip(edges[:-1], density_view, expected)):
     bar = "#" * int(round(8 * d / expected.max()))
     print(f"  [{lo:.2f},{lo + widths[k]:.2f})  {e:8.4f}  {d:8.4f}  {bar}")

@@ -22,7 +22,7 @@ from patternblocks.distributions import (
     gauss_mixture_density,
     gauss_mixture_xy,
 )
-from patternblocks.numeric import Histogram, bin_probabilities_2d, chi_square_gof
+from patternblocks.numeric import bin_probabilities_2d, chi_square_gof
 
 density = gauss_mixture_density()
 blockset = gauss_mixture_blockset()
@@ -54,8 +54,8 @@ print(f"chi-square fit: statistic {gof.statistic:.1f} on {gof.dof} dof, "
       f"p = {gof.p_value:.4f} ({gof.bins_merged} sparse bins pooled)")
 
 # coarse look at the two modes through the x1 marginal
-hist = Histogram.from_samples(np.asarray(points)[:, 0], edges)
-scale = hist.density().max()
+marginal, _ = np.histogram(np.asarray(points)[:, 0], bins=edges, density=True)
+scale = marginal.max()
 print("\nx1 marginal")
-for lo, d in zip(edges[:-1], hist.density()):
+for lo, d in zip(edges[:-1], marginal):
     print(f"  [{lo:+.1f},{lo + 0.5:+.1f})  {'#' * int(round(30 * d / scale))}")

@@ -14,7 +14,6 @@ from .blocks1d import (
     rect_block,
     ziggurat_base_block,
     ziggurat_blockset,
-    ziggurat_layer_block,
 )
 from .blocks2d import cylinder_block, slab_block, superlevel_block
 from .core import (
@@ -32,7 +31,6 @@ from .core import (
 )
 from .numeric import (
     GofReport,
-    Histogram,
     QuadratureError,
     chi_square_gof,
     quad_1d,
@@ -47,7 +45,6 @@ __all__ = [
     "Density",
     "DensityValueError",
     "GofReport",
-    "Histogram",
     "PatternBlock",
     "PatternBlockSampler",
     "Point",
@@ -71,5 +68,4 @@ __all__ = [
     "validate_blockset",
     "ziggurat_base_block",
     "ziggurat_blockset",
-    "ziggurat_layer_block",
 ]

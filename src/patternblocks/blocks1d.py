@@ -181,22 +181,7 @@ def build_ziggurat(
     )
 
 
-def ziggurat_layer_block(layout: ZigguratLayout, i: int, label: str = "") -> PatternBlock:
-    """Rectangle layer i (1-based, 1 <= i <= n_layers - 1)."""
-    if not 1 <= i <= layout.n_layers - 1:
-        raise ValueError("layer index out of range")
-    return rect_block(
-        0.0,
-        layout.x[i],
-        layout.f_at_x[i],
-        layout.f_at_x[i - 1],
-        label or f"layer {i}",
-    )
-
-
-def ziggurat_base_block(
-    layout: ZigguratLayout, f: Callable[[float], float], label: str = "base"
-) -> PatternBlock:
+def ziggurat_base_block(layout: ZigguratLayout, f: Callable[[float], float]) -> PatternBlock:
     """Composite base: rectangle under f(r) on [0, r] plus the whole tail.
 
     With probability r f(r) / v the sampler picks the rectangle uniformly;
@@ -227,11 +212,15 @@ def ziggurat_base_block(
             return True
         return x >= r and y <= f(x)
 
-    return PatternBlock(v, sample, contains, label, height_band=(0.0, f_r))
+    return PatternBlock(v, sample, contains, "base", height_band=(0.0, f_r))
 
 
 def ziggurat_blockset(layout: ZigguratLayout, f: Callable[[float], float]) -> BlockSet:
     """All rectangle layers plus the base block, top layer first."""
-    blocks = [ziggurat_layer_block(layout, i) for i in range(1, layout.n_layers)]
+    x, f_at_x = layout.x, layout.f_at_x
+    blocks = [
+        rect_block(0.0, x[i], f_at_x[i], f_at_x[i - 1], f"layer {i}")
+        for i in range(1, layout.n_layers)
+    ]
     blocks.append(ziggurat_base_block(layout, f))
     return BlockSet(blocks)

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: sample (CSV/JSON samples plus a JSON summary on stderr),
-validate (block-set checks plus goodness of fit, JSON report), bench
-(throughput and adoption rates), zigg-table (equal-area layer table).
-Only zigg-table takes --layers. Each command checks its arguments and
-opens --out before it builds anything.
-Exit codes: 0 success, 1 failed check, 2 usage error, 3 numerical failure.
+validate (block-set checks plus a chi-square fit on the target's fixed
+bins, JSON report), bench (throughput and adoption rates), zigg-table
+(equal-area layer table). Only zigg-table takes --layers. Each command
+checks its arguments and opens --out before it builds anything.
+Exit codes: 0 success, 1 failed check, 2 usage error, 3 numerical failure,
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -30,7 +32,6 @@ from .core import (
 )
 from .rng import UniformSource
 
-DEFAULT_BINS = {1: 64, 2: 16}  # chi-square bins per axis, by dimension
 SAMPLE_CHUNK = 4096  # rows `sample` draws and writes at a time
 
 
@@ -103,25 +104,21 @@ def cmd_sample(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.bins is not None and args.bins < 2:
-        raise UsageError("--bins must be at least 2")
     if not 0.0 < args.significance < 1.0:
         raise UsageError("--significance must lie strictly between 0 and 1")
     target = distributions.TARGETS[args.dist]
     density = target.density()
-    bins = args.bins if args.bins is not None else DEFAULT_BINS[density.dim]
-    edges, probs = target.bins(bins)
+    edges, probs = target.bins()
     expected = args.n * np.ravel(probs)
     try:
         numeric.pool_small_bins(expected, expected)
     except numeric.TooFewBinsError as exc:
-        raise UsageError(f"--n {args.n} is too small for --bins {bins} ({exc})") from None
+        raise UsageError(
+            f"--n {args.n} is too small for the {probs.size} bins of {args.dist} ({exc})"
+        ) from None
     with _open_out(args.out) as out:
         blockset, sampler = _sampler(args, density)
-        counts = sum(
-            numeric.Histogram.from_samples(points, edges).counts
-            for points in _chunks(sampler, args.n)
-        )
+        counts = sum(numeric.bin_counts(points, edges) for points in _chunks(sampler, args.n))
         report = validate_blockset(blockset, density, probe_bounds=target.probe_bounds)
         gof = numeric.chi_square_counts(counts, probs)
         passed = report.all_passed() and gof.p_value > args.significance
@@ -183,7 +180,7 @@ def cmd_zigg_table(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patternblocks",
-        description="Block-composed rejection sampling: sample, validate, bench.",
+        description="Block-composed rejection sampling: sample, validate, bench, zigg-table.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -200,7 +197,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="block-set checks plus chi-square fit")
     common(p_val)
-    p_val.add_argument("--bins", type=int, default=None)
     p_val.add_argument("--significance", type=float, default=0.001)
     p_val.add_argument("--out", default=None)
     p_val.set_defaults(func=cmd_validate)
@@ -234,6 +230,13 @@ def main(argv=None) -> int:
     except (DensityValueError, RejectionCapError, ZigguratError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered, which
+        # shutdown flushes, to /dev/null and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ Three targets:
 * the half-normal with an equal-area ziggurat layout, the classical
   special case of the block construction.
 
-TARGETS holds each target under its CLI name: the factories of its density
-and cover themselves, and its chi-square bin layout.
+TARGETS holds each target under its CLI name: the factories of its density,
+its cover and its chi-square bins.
 """
 
 from __future__ import annotations
@@ -290,17 +290,21 @@ def half_normal_ziggurat_blockset() -> BlockSet:
 # the shipped targets
 
 HALF_NORMAL_PROBE_HI = 8.0  # density mass beyond this is ~1e-15, below any tolerance
+# chi-square bins per axis of each target's validate fit
+ARCSINE_BINS = 64
+MIX_BINS = 16
+HALF_NORMAL_BINS = 64
 
 
-def _arcsine_modulated_bins(n: int):
-    edges = np.linspace(0.0, 1.0, n + 1)
+def _arcsine_modulated_bins():
+    edges = np.linspace(0.0, 1.0, ARCSINE_BINS + 1)
     return edges, numeric.bin_probabilities_1d(arcsine_modulated_mass, edges)
 
 
-def _gauss_mixture_bins(n: int):
+def _gauss_mixture_bins():
     # each component factors over the axes, so a bin's mass is a product
     # of segment integrals, as in gauss_mixture_density's K
-    edges = np.linspace(-4.0, 4.0, n + 1)
+    edges = np.linspace(-4.0, 4.0, MIX_BINS + 1)
     s0, s2 = (
         np.array([_gauss_segment(a, b, mu) for a, b in zip(edges[:-1], edges[1:])])
         for mu in (0.0, 2.0)
@@ -309,8 +313,8 @@ def _gauss_mixture_bins(n: int):
     return (edges, edges), masses / masses.sum()
 
 
-def _half_normal_bins(n: int):
-    edges = np.linspace(0.0, HALF_NORMAL_PROBE_HI, n + 1)
+def _half_normal_bins():
+    edges = np.linspace(0.0, HALF_NORMAL_PROBE_HI, HALF_NORMAL_BINS + 1)
     edges[-1] = math.inf  # the last bin takes the tail
     return edges, numeric.bin_probabilities_1d(
         lambda a, b: half_normal_cdf(b) - half_normal_cdf(a), edges
@@ -319,18 +323,19 @@ def _half_normal_bins(n: int):
 
 @dataclass(frozen=True)
 class Target:
-    """A shipped target: the factories of its density and its one fixed cover.
+    """A shipped target: the factories of its density, its one fixed cover
+    and its one fixed set of chi-square bins.
 
     probe_bounds replaces the density's domain in the cover scan (None keeps
-    it). bins(n) returns (edges, probs): n chi-square bins per axis and
-    their probabilities under the normalized density. A swapped factory
-    takes effect only through a replaced registry entry.
+    it). bins() returns (edges, probs): the bin edges (one array, or one per
+    axis) and the bin probabilities under the normalized density. A swapped
+    factory takes effect only through a replaced registry entry.
     """
 
     density: Callable[[], Density]
     cover: Callable[[], BlockSet]
     probe_bounds: tuple[tuple[float, float], ...] | None
-    bins: Callable[[int], tuple]
+    bins: Callable[[], tuple]
 
 
 TARGETS = {

@@ -158,41 +158,25 @@ def bin_probabilities_2d(
     return masses / masses.sum()
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Multidimensional histogram with a density-scale view."""
+def bin_counts(samples, bin_edges) -> np.ndarray:
+    """int64 counts of points (array of shape (n,) or (n, d)) on given edges.
 
-    bin_edges: tuple[np.ndarray, ...]
-    counts: np.ndarray
-    total: int
-
-    @classmethod
-    def from_samples(cls, samples, bin_edges) -> "Histogram":
-        """Histogram points (array of shape (n,) or (n, d)) on given edges.
-
-        Every sample must land inside the edges; silently dropping points
-        would corrupt goodness-of-fit counts downstream.
-        """
-        pts = np.asarray(samples, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if isinstance(bin_edges, np.ndarray) and bin_edges.ndim == 1:
-            bin_edges = (bin_edges,)
-        edges = tuple(np.asarray(e, dtype=float) for e in bin_edges)
-        if pts.shape[1] != len(edges):
-            raise ValueError("sample dimension does not match bin_edges")
-        counts, _ = np.histogramdd(pts, bins=edges)
-        counts = counts.astype(np.int64)
-        if counts.sum() != len(pts):
-            raise ValueError("samples fall outside the bin range")
-        return cls(edges, counts, len(pts))
-
-    def density(self) -> np.ndarray:
-        """counts / (total * bin volume), comparable to the target density."""
-        vol = np.diff(self.bin_edges[0])
-        for e in self.bin_edges[1:]:
-            vol = np.multiply.outer(vol, np.diff(e))
-        return self.counts / (self.total * vol)
+    Every sample must land inside the edges; silently dropping points
+    would corrupt goodness-of-fit counts downstream.
+    """
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if isinstance(bin_edges, np.ndarray) and bin_edges.ndim == 1:
+        bin_edges = (bin_edges,)
+    edges = tuple(np.asarray(e, dtype=float) for e in bin_edges)
+    if pts.shape[1] != len(edges):
+        raise ValueError("sample dimension does not match bin_edges")
+    counts, _ = np.histogramdd(pts, bins=edges)
+    counts = counts.astype(np.int64)
+    if counts.sum() != len(pts):
+        raise ValueError("samples fall outside the bin range")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -206,9 +190,8 @@ class GofReport:
 
 
 def chi_square_gof(samples, bin_edges, expected_probs) -> GofReport:
-    """chi_square_counts of the histogram of samples on bin_edges."""
-    counts = Histogram.from_samples(samples, bin_edges).counts
-    return chi_square_counts(counts, expected_probs)
+    """chi_square_counts of the bin_counts of samples on bin_edges."""
+    return chi_square_counts(bin_counts(samples, bin_edges), expected_probs)
 
 
 def chi_square_counts(counts, expected_probs) -> GofReport:

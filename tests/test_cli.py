@@ -3,15 +3,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patternblocks import distributions
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
-from patternblocks.cli import DEFAULT_BINS, _parser, main
+from patternblocks.cli import _parser, main
 from patternblocks.distributions import B0, B1, B2, B3
 from patternblocks.core import BlockSet, Density
 
@@ -148,7 +152,6 @@ def test_validate_arcsine_passes(capsys):
     code, out, _ = run_cli(
         capsys,
         "validate", "--dist", "arcsine-mod", "--n", "20000", "--seed", "1",
-        "--bins", "64",
     )
     assert code == 0
     doc = json.loads(out)
@@ -334,17 +337,19 @@ def test_usage_errors_exit_two(capsys):
         ["sample", "--dist", "half-normal-zigg", "--n", "10", "--layers", "64"],
         ["validate", "--dist", "half-normal-zigg", "--n", "10", "--layers", "64"],
         ["bench", "--dist", "half-normal-zigg", "--n", "10", "--layers", "64"],
+        # each target has fixed chi-square bins
+        ["validate", "--dist", "arcsine-mod", "--n", "10", "--bins", "0"],
+        ["validate", "--dist", "arcsine-mod", "--n", "10", "--bins", "1"],
+        ["validate", "--dist", "arcsine-mod", "--n", "10", "--bins", "-3"],
+        ["validate", "--dist", "arcsine-mod", "--n", "5", "--bins", "64"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
     capsys.readouterr()
     for argv in (
-        ["validate", "--bins", "0"],
-        ["validate", "--bins", "1"],
-        ["validate", "--bins", "-3"],
         ["validate", "--n", "0"],
-        ["validate", "--n", "5", "--bins", "64"],
+        ["validate", "--n", "5"],
         ["bench", "--n", "0"],
         ["validate", "--significance", "0"],
         ["validate", "--significance", "1"],
@@ -371,7 +376,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "missing" / "x.csv")
     for argv in (
         ["sample", "--dist", "arcsine-mod", "--n", "10"],
-        ["validate", "--dist", "arcsine-mod", "--n", "2000", "--bins", "8"],
+        ["validate", "--dist", "arcsine-mod", "--n", "2000"],
         ["zigg-table", "--layers", "8"],
     ):
         code, out, err = run_cli(capsys, *argv, "--out", path)
@@ -391,7 +396,7 @@ def test_cli_options_are_pinned():
     # a new flag needs a deliberate edit here
     expected = {
         "sample": {"--dist", "--n", "--seed", "--out", "--format"},
-        "validate": {"--dist", "--n", "--seed", "--bins", "--significance", "--out"},
+        "validate": {"--dist", "--n", "--seed", "--significance", "--out"},
         "bench": {"--dist", "--n", "--seed"},
         "zigg-table": {"--layers", "--out", "--format"},
     }
@@ -428,23 +433,14 @@ def test_validate_too_few_bins_fails_before_setup(capsys, monkeypatch):
     monkeypatch.setitem(
         distributions.TARGETS, "gauss-mix-2d", dataclasses.replace(target, cover=unbuildable)
     )
-    code, out, err = run_cli(
-        capsys, "validate", "--dist", "gauss-mix-2d", "--n", "3", "--bins", "2"
-    )
+    # 3 points over the fixed 16 x 16 bins leave fewer than 2 effective bins
+    code, out, err = run_cli(capsys, "validate", "--dist", "gauss-mix-2d", "--n", "3")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-
-
-def test_validate_mixture_bin_cost_stays_flat(capsys):
-    # per-bin quadrature took about 10 s to reach this usage error
-    start = time.perf_counter()
-    code, _, err = run_cli(
-        capsys, "validate", "--dist", "gauss-mix-2d", "--n", "10", "--bins", "256"
+    assert err == (
+        "error: --n 3 is too small for the 256 bins of gauss-mix-2d"
+        " (fewer than 2 effective bins after merging)\n"
     )
-    assert time.perf_counter() - start < 5.0
-    assert code == 2
-    assert "too small for --bins 256" in err
 
 
 def test_dist_choices_are_the_registry():
@@ -458,7 +454,7 @@ def test_dist_choices_are_the_registry():
 def test_target_default_bins_match_grid(name):
     target = distributions.TARGETS[name]
     density = target.density()
-    edges, probs = target.bins(DEFAULT_BINS[density.dim])
+    edges, probs = target.bins()
     grid = edges if isinstance(edges, tuple) else (edges,)
     assert len(grid) == density.dim
     assert probs.shape == tuple(len(e) - 1 for e in grid)
@@ -485,3 +481,23 @@ def test_zigg_table_json(capsys):
     assert len(rows) == 4
     assert rows[0]["x"] == 0.0
     assert math.isclose(rows[1]["area"], rows[3]["area"], abs_tol=1e-10)
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # a reader that takes two lines and closes the pipe, as `| head -n 2` does
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patternblocks", "sample", "--dist", "half-normal-zigg",
+         "--n", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 141
+    assert lines[0] == b"x\n" and float(lines[1]) >= 0.0
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -200,7 +200,7 @@ def test_mixture_density_zero_outside_domain(mixture_density):
 
 def test_mixture_bins_match_quadrature_oracle():
     # the closed-form bins against the independent midpoint quadrature
-    (edges, _), probs = TARGETS["gauss-mix-2d"].bins(16)
+    (edges, _), probs = TARGETS["gauss-mix-2d"].bins()
     oracle = bin_probabilities_2d(gauss_mixture_xy, MIX_DOMAIN, 16)
     assert len(edges) == 17
     assert np.max(np.abs(probs / oracle - 1.0)) < 2e-4

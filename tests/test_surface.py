@@ -19,7 +19,6 @@ PUBLIC = [
     "Density",
     "DensityValueError",
     "GofReport",
-    "Histogram",
     "PatternBlock",
     "PatternBlockSampler",
     "Point",
@@ -43,7 +42,6 @@ PUBLIC = [
     "validate_blockset",
     "ziggurat_base_block",
     "ziggurat_blockset",
-    "ziggurat_layer_block",
 ]
 
 
