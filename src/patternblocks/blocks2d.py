@@ -67,8 +67,8 @@ def cylinder_block(
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if not y_lo < y_hi:
-        raise ValueError("need y_lo < y_hi")
+    if not 0.0 <= y_lo < y_hi:
+        raise ValueError("need 0 <= y_lo < y_hi")
     c1, c2 = center
     band = y_hi - y_lo
     measure = math.pi * radius * radius * band
@@ -104,10 +104,13 @@ def superlevel_block(
     [b0, b1]. The footprint area is the exact count of cells of the GRID x
     GRID midpoint grid over bounding_rect where f_xy >= y_lo, times the
     cell area (deterministic, so the selection weights carry no seed
-    dependence). f_xy must accept numpy arrays. A scan of the same grid
-    over domain_rect asserts that no cell outside bounding_rect reaches the
-    level, i.e. the box really contains the superlevel set. Both walk the
-    grid in bounded bands (numeric.midpoint_bands).
+    dependence). A scan of the same grid over domain_rect asserts that no
+    cell outside bounding_rect reaches the level, i.e. the box really
+    contains the superlevel set. Both walk the grid in bounded bands
+    (numeric.midpoint_bands) and call f_xy on numpy arrays; each box
+    proposal and each contains calls it on Python floats, so its float
+    path sets the sampling cost. Like every band constructor, this one
+    requires 0 <= y_lo < y_hi.
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are
@@ -115,8 +118,8 @@ def superlevel_block(
     misses in a row raise RejectionCapError. Draw order per sample:
     (x1, x2) pairs until accepted, then the height.
     """
-    if not y_lo < y_hi:
-        raise ValueError("need y_lo < y_hi")
+    if not 0.0 <= y_lo < y_hi:
+        raise ValueError("need 0 <= y_lo < y_hi")
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounding_rect
     if not (x1_lo < x1_hi and x2_lo < x2_hi):
         raise ValueError("degenerate bounding rectangle")

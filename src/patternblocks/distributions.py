@@ -78,7 +78,6 @@ def arcsine_modulated_density() -> Density:
         evaluate=lambda p: arcsine_modulated_pdf(p[0]),
         domain_bounds=((0.0, 1.0),),
         K=1.0,
-        K_provenance="exact",
     )
 
 
@@ -138,17 +137,13 @@ SUPERLEVEL_BOX = ((-2.0, 3.5), (-2.0, 3.5))
 
 
 def gauss_mixture_xy(x1, x2):
-    """Mixture density, broadcasting over numpy arrays."""
+    """Mixture density on numpy arrays or Python floats. A Python float x1
+    takes math.exp: the superlevel block's proposals and contains pass
+    floats, and np.exp costs over twice as much on one."""
+    exp = math.exp if type(x1) is float else np.exp
     return MIX_COEFF * (
-        np.exp(-x1 * x1 - x2 * x2)
-        + 0.5 * np.exp(-((x1 - 2.0) ** 2) - (x2 - 2.0) ** 2)
-    )
-
-
-def _gauss_mixture_scalar(x1: float, x2: float) -> float:
-    return MIX_COEFF * (
-        math.exp(-x1 * x1 - x2 * x2)
-        + 0.5 * math.exp(-((x1 - 2.0) ** 2) - (x2 - 2.0) ** 2)
+        exp(-x1 * x1 - x2 * x2)
+        + 0.5 * exp(-((x1 - 2.0) ** 2) - (x2 - 2.0) ** 2)
     )
 
 
@@ -157,8 +152,8 @@ def _gauss_mixture_scalar(x1: float, x2: float) -> float:
 # at the origin up to the exponentially small cross term.
 B0 = 1.0 / 40.0
 B1 = 1.0 / 15.0
-B2 = MIX_COEFF * (math.exp(-8.0) + 0.5)
-B3 = MIX_COEFF * (1.0 + 0.5 * math.exp(-8.0))
+B2 = gauss_mixture_xy(2.0, 2.0)
+B3 = gauss_mixture_xy(0.0, 0.0)
 # (center, radius, y_lo, y_hi) of the cylinders; the first two are disjoint
 MIX_DISKS = (
     ((0.0, 0.0), 1.25, B1, B2),
@@ -172,30 +167,38 @@ def _gauss_segment(a: float, b: float, mu: float) -> float:
     return 0.5 * math.sqrt(math.pi) * (math.erf(b - mu) - math.erf(a - mu))
 
 
-def gauss_mixture_density() -> Density:
-    """Mixture density with its mass in closed form.
+def _gauss_mixture_masses(bins: int):
+    """(edges per axis, masses) of the bins x bins grid over MIX_DOMAIN.
 
-    Each component factors over the axes, so K = MIX_COEFF * (S(0)^2 +
-    S(2)^2 / 2) with S(mu) = _gauss_segment(-4, 4, mu).
-    The coefficient very nearly normalizes the truncated mixture: K - 1 is
-    about 3.3e-8.
+    Each component factors over the axes, so a cell's mass is a product
+    of _gauss_segment integrals.
     """
-    mass = MIX_COEFF * (
-        _gauss_segment(-4.0, 4.0, 0.0) ** 2 + _gauss_segment(-4.0, 4.0, 2.0) ** 2 / 2
+    edges = tuple(np.linspace(lo, hi, bins + 1) for lo, hi in MIX_DOMAIN)
+    s0, s2 = (
+        [np.array([_gauss_segment(a, b, mu) for a, b in zip(e[:-1], e[1:])]) for e in edges]
+        for mu in (0.0, 2.0)
     )
+    return edges, MIX_COEFF * (np.outer(*s0) + np.outer(*s2) / 2)
+
+
+def gauss_mixture_density() -> Density:
+    """Mixture density with its mass K in closed form, the one cell of
+    _gauss_mixture_masses(1). The coefficient very nearly normalizes the
+    truncated mixture: K - 1 is about 3.3e-8.
+    """
+    (x1_lo, x1_hi), (x2_lo, x2_hi) = MIX_DOMAIN
 
     def evaluate(point):
         x1, x2 = point
-        if not (-4.0 <= x1 <= 4.0 and -4.0 <= x2 <= 4.0):
+        if not (x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi):
             return 0.0
-        return _gauss_mixture_scalar(x1, x2)
+        return gauss_mixture_xy(x1, x2)
 
     return Density(
         dim=2,
         evaluate=evaluate,
         domain_bounds=MIX_DOMAIN,
-        K=mass,
-        K_provenance="exact",
+        K=float(_gauss_mixture_masses(1)[1][0, 0]),
     )
 
 
@@ -266,7 +269,6 @@ def half_normal_density() -> Density:
         evaluate=lambda p: half_normal_pdf(p[0]),
         domain_bounds=((0.0, math.inf),),
         K=1.0,
-        K_provenance="exact",
     )
 
 
@@ -302,15 +304,8 @@ def _arcsine_modulated_bins():
 
 
 def _gauss_mixture_bins():
-    # each component factors over the axes, so a bin's mass is a product
-    # of segment integrals, as in gauss_mixture_density's K
-    edges = np.linspace(-4.0, 4.0, MIX_BINS + 1)
-    s0, s2 = (
-        np.array([_gauss_segment(a, b, mu) for a, b in zip(edges[:-1], edges[1:])])
-        for mu in (0.0, 2.0)
-    )
-    masses = MIX_COEFF * (np.outer(s0, s0) + np.outer(s2, s2) / 2)
-    return (edges, edges), masses / masses.sum()
+    edges, masses = _gauss_mixture_masses(MIX_BINS)
+    return edges, masses / masses.sum()
 
 
 def _half_normal_bins():

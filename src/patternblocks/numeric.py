@@ -19,6 +19,7 @@ Rect = tuple[tuple[float, float], tuple[float, float]]
 BAND_CELLS = 1 << 16  # grid cells midpoint_bands hands out at a time
 BIN_SUBGRID = 100  # midpoint cells per axis of each 2-d chi-square bin
 MIN_EXPECTED = 5.0  # expected count below which a chi-square bin is pooled
+QUAD_MAX_DEPTH = 50  # subdivision depth at which quad_1d gives up
 
 
 class TooFewBinsError(ValueError):
@@ -34,25 +35,24 @@ def quad_1d(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_depth: int = 50,
 ) -> float:
     """Integrate g over [lo, hi] by adaptive Simpson subdivision.
 
     tol is an absolute error target. Raises QuadratureError when an interval
-    still misses its share of the tolerance at max_depth subdivisions.
+    still misses its share of the tolerance at QUAD_MAX_DEPTH subdivisions.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if lo == hi:
         return 0.0
     if lo > hi:
-        return -quad_1d(g, hi, lo, tol, max_depth)
+        return -quad_1d(g, hi, lo, tol)
     fa = g(lo)
     fb = g(hi)
     m = 0.5 * (lo + hi)
     fm = g(m)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_adapt(g, lo, hi, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_adapt(g, lo, hi, fa, fm, fb, whole, tol, QUAD_MAX_DEPTH)
 
 
 def _simpson_adapt(g, a, b, fa, fm, fb, whole, tol, depth):

@@ -193,6 +193,18 @@ def test_mixture_array_broadcasting():
     assert float(gauss_mixture_xy(xs[2], xs[5])) == grid[2, 5]
 
 
+def test_mixture_float_and_array_paths_agree(mixture_density):
+    (lo, hi), _ = MIX_DOMAIN
+    axis = np.linspace(lo, hi, 33)  # step 0.25: holds 0 and 2
+    grid = gauss_mixture_xy(axis[:, None], axis[None, :])
+    for i, a in enumerate(axis.tolist()):
+        for j, b in enumerate(axis.tolist()):
+            value = gauss_mixture_xy(a, b)
+            assert type(value) is float
+            assert abs(value - grid[i, j]) <= 1e-15 * grid[i, j]
+            assert mixture_density.evaluate((a, b)) == value
+
+
 def test_mixture_density_zero_outside_domain(mixture_density):
     assert mixture_density.evaluate((4.5, 0.0)) == 0.0
     assert mixture_density.evaluate((0.0, 0.0)) > 0.0

@@ -65,6 +65,7 @@ def test_library_knobs_are_pinned():
     assert _parameters(patternblocks.superlevel_block) == {
         "bounding_rect", "f_xy", "y_lo", "y_hi", "domain_rect", "label",
     }
+    assert _parameters(patternblocks.quad_1d) == {"g", "lo", "hi", "tol"}
     defaulted = {
         f.name for f in dataclasses.fields(patternblocks.PatternBlock)
         if f.default is not dataclasses.MISSING
