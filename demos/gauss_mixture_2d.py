@@ -17,12 +17,11 @@ from patternblocks import (
     validate_blockset,
 )
 from patternblocks.distributions import (
-    MIX_DOMAIN,
+    TARGETS,
     gauss_mixture_blockset,
     gauss_mixture_density,
-    gauss_mixture_xy,
 )
-from patternblocks.numeric import bin_probabilities_2d, chi_square_gof
+from patternblocks.numeric import chi_square_gof
 
 density = gauss_mixture_density()
 blockset = gauss_mixture_blockset()
@@ -41,21 +40,21 @@ for name in ("positivity", "cover", "overlap"):
     check = getattr(report, name)
     print(f"  {name:10s} {check.status}: {check.detail}")
 
-# draw vectors and compare against quadrature bin probabilities
+# draw vectors and compare against the target's closed-form bin probabilities
 sampler = PatternBlockSampler(density, blockset, UniformSource(3))
 points = sampler.sample_many(100_000)
 print(f"\n100000 vectors took {sampler.attempts} attempts "
       f"(empirical rate {sampler.empirical_rate:.4f})")
 
-edges = np.linspace(-4.0, 4.0, 17)
-probs = bin_probabilities_2d(gauss_mixture_xy, MIX_DOMAIN, 16)
-gof = chi_square_gof(np.asarray(points), (edges, edges), probs)
+edges, probs = TARGETS["gauss-mix-2d"].bins()
+gof = chi_square_gof(np.asarray(points), edges, probs)
 print(f"chi-square fit: statistic {gof.statistic:.1f} on {gof.dof} dof, "
       f"p = {gof.p_value:.4f} ({gof.bins_merged} sparse bins pooled)")
 
 # coarse look at the two modes through the x1 marginal
-marginal, _ = np.histogram(np.asarray(points)[:, 0], bins=edges, density=True)
+x1_edges = edges[0]
+marginal, _ = np.histogram(np.asarray(points)[:, 0], bins=x1_edges, density=True)
 scale = marginal.max()
 print("\nx1 marginal")
-for lo, d in zip(edges[:-1], marginal):
+for lo, d in zip(x1_edges[:-1], marginal):
     print(f"  [{lo:+.1f},{lo + 0.5:+.1f})  {'#' * int(round(30 * d / scale))}")

@@ -5,8 +5,8 @@ validate (block-set checks plus a chi-square fit on the target's fixed
 bins, JSON report), bench (throughput and adoption rates), zigg-table
 (equal-area layer table). Only zigg-table takes --layers. Each command
 checks its arguments and opens --out before it builds anything.
-Exit codes: 0 success, 1 failed check, 2 usage error, 3 numerical failure,
-141 stdout closed by its reader.
+Exit codes: 0 success, 1 failed check, 2 usage error or output that cannot
+be opened or written, 3 numerical failure, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def _open_out(path):
     """The --out stream: stdout for None or "-", else the file, closed on exit."""
     if path in (None, "-"):
         yield sys.stdout
+        sys.stdout.flush()  # a failed write raises here, inside main, not at exit
         return
     try:
         out = open(path, "w", newline="")
@@ -159,7 +160,7 @@ def cmd_bench(args) -> int:
         "exact_rate": exact_adoption_rate(density, blockset),
         "empirical_rate": sampler.empirical_rate,
     }
-    print(json.dumps(doc))
+    print(json.dumps(doc), flush=True)
     return 0
 
 
@@ -231,12 +232,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered, which
-        # shutdown flushes, to /dev/null and exit as SIGPIPE would
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
+        # the reader closed stdout: exit as SIGPIPE would
+        _stdout_to_devnull()
         return 141
+    except OSError as exc:
+        # a failed write, such as to a full disk, is not a failed check
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            _stdout_to_devnull()
+        return 2
+
+
+def _stdout_to_devnull():
+    """Point fd 1 at /dev/null, so what a failed stdout still buffers, which
+    shutdown flushes, raises no second error."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .rng import UniformSource
@@ -193,20 +194,12 @@ def validate_blockset(
 
 
 def _probe_points(bounds, n_probe):
-    if len(bounds) == 1:
-        (lo, hi), = bounds
-        step = (hi - lo) / n_probe
-        for k in range(n_probe):
-            yield (lo + (k + 0.5) * step,)
-    else:
-        (x_lo, x_hi), (y_lo, y_hi) = bounds
-        per_axis = max(1, int(math.isqrt(n_probe)))
-        sx = (x_hi - x_lo) / per_axis
-        sy = (y_hi - y_lo) / per_axis
-        for i in range(per_axis):
-            x = x_lo + (i + 0.5) * sx
-            for j in range(per_axis):
-                yield (x, y_lo + (j + 0.5) * sy)
+    # cell midpoints of a grid with per_axis cells on each axis, first axis outermost
+    per_axis = n_probe if len(bounds) == 1 else math.isqrt(n_probe)
+    return product(*(
+        [lo + (k + 0.5) * ((hi - lo) / per_axis) for k in range(per_axis)]
+        for lo, hi in bounds
+    ))
 
 
 def _cover_check(blockset, density, bounds, n_probe):

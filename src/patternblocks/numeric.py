@@ -1,9 +1,11 @@
 """Quadrature and chi-square goodness-of-fit utilities used to validate samplers.
 
-The integration routines here serve as independent oracles: expected bin
-probabilities are always computed by quadrature, never by sampling, so the
-checks stay decoupled from the samplers they judge. The package has no KS
-test of its own; callers that want one use scipy.stats.kstest.
+Expected bin probabilities are never estimated by sampling, so the checks
+stay decoupled from the samplers they judge. The half-normal and mixture
+targets take theirs in closed form (erf and erf products); the
+arcsine-modulated target integrates with quad_1d. quad_2d_grid is the
+tests' independent midpoint reference for the mixture bins. The package
+has no KS test of its own; callers that want one use scipy.stats.kstest.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from scipy.stats import chi2
 Rect = tuple[tuple[float, float], tuple[float, float]]
 
 BAND_CELLS = 1 << 16  # grid cells midpoint_bands hands out at a time
-BIN_SUBGRID = 100  # midpoint cells per axis of each 2-d chi-square bin
 MIN_EXPECTED = 5.0  # expected count below which a chi-square bin is pooled
 QUAD_MAX_DEPTH = 50  # subdivision depth at which quad_1d gives up
 
@@ -131,31 +132,6 @@ def bin_probabilities_1d(
     if total <= 0:
         raise ValueError("mass function vanished on all bins")
     return probs / total
-
-
-def bin_probabilities_2d(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rect: Rect,
-    bins_per_axis: int,
-) -> np.ndarray:
-    """Quadrature bin probabilities of a 2-d density over a uniform grid.
-
-    Each bin is integrated on its own BIN_SUBGRID x BIN_SUBGRID midpoint
-    subgrid; the matrix is normalized so the probabilities sum to 1.
-    """
-    (x_lo, x_hi), (y_lo, y_hi) = rect
-    n = bins_per_axis * BIN_SUBGRID
-    hx = (x_hi - x_lo) / n
-    hy = (y_hi - y_lo) / n
-    ys = y_lo + hy * (np.arange(n) + 0.5)
-    masses = np.empty((bins_per_axis, bins_per_axis))
-    for bx in range(bins_per_axis):
-        xs = x_lo + hx * (np.arange(bx * BIN_SUBGRID, (bx + 1) * BIN_SUBGRID) + 0.5)
-        band = g(xs[:, None], ys[None, :])
-        masses[bx] = band.reshape(BIN_SUBGRID, bins_per_axis, BIN_SUBGRID).sum(
-            axis=(0, 2)
-        )
-    return masses / masses.sum()
 
 
 def bin_counts(samples, bin_edges) -> np.ndarray:

@@ -85,10 +85,7 @@ def test_criterion_05_mixture_attempt_ratio(mixture_density, mixture_blocks):
 
 
 def test_criterion_06_mixture_distributional_fit(mixture_density, mixture_blocks):
-    edges = np.linspace(-4.0, 4.0, 17)
-    probs = numeric.bin_probabilities_2d(
-        gauss_mixture_xy, distributions.MIX_DOMAIN, 16
-    )
+    edges, probs = distributions.TARGETS["gauss-mix-2d"].bins()
     passes = 0
     p_values = []
     for seed in SEEDS:
@@ -96,7 +93,7 @@ def test_criterion_06_mixture_distributional_fit(mixture_density, mixture_blocks
             mixture_density, mixture_blocks, UniformSource(seed)
         )
         pts = np.asarray(sampler.sample_many(100_000))
-        p_value = numeric.chi_square_gof(pts, (edges, edges), probs).p_value
+        p_value = numeric.chi_square_gof(pts, edges, probs).p_value
         p_values.append(p_value)
         passes += p_value > 0.001
     ok = passes >= 9

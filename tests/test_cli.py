@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from patternblocks import distributions
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
@@ -134,6 +135,29 @@ def test_json_output_matches_golden_digest(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv]
+
+
+# SHA-256 of the `validate --n 2000 --seed 42` report, generated the same
+# way, with gof.p_value removed: the p-value comes from scipy's chi2.sf and
+# is checked on its own, so a scipy release cannot move the digest.
+GOLDEN_VALIDATE_SHA256 = {
+    "arcsine-mod": "70425924e4726c473ad0bcd5a076e732649fce7d4c3e1d1adc7c1f5fceecf717",
+    "gauss-mix-2d": "4754dea3875edcb28b955f9c5113ec35a9ff65f89969e88b14180ad1224fa02b",
+    "half-normal-zigg": "ca2628bffd82982fa45e24a4a95dde811e42da7abbe369b1ec3a20728b8e45e4",
+}
+
+
+@pytest.mark.parametrize("dist", sorted(GOLDEN_VALIDATE_SHA256))
+def test_validate_report_matches_golden_digest(capsys, dist):
+    code, out, _ = run_cli(capsys, "validate", "--dist", dist, "--n", "2000", "--seed", "42")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    gof = doc["gof"]
+    p_value = gof.pop("p_value")
+    assert math.isclose(p_value, chi2.sf(gof["statistic"], gof["dof"]), rel_tol=1e-12)
+    digest = hashlib.sha256((json.dumps(doc, indent=2) + "\n").encode()).hexdigest()
+    assert digest == GOLDEN_VALIDATE_SHA256[dist]
 
 
 def test_sample_json_format(capsys):
@@ -501,3 +525,33 @@ def test_closed_stdout_exits_141_without_traceback():
     assert code == 141
     assert lines[0] == b"x\n" and float(lines[1]) >= 0.0
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    ("argv", "to_stdout"),
+    [
+        (["sample", "--n", "10", "--out", "/dev/full"], False),
+        (["sample", "--n", "10"], True),
+        (["validate", "--n", "2000", "--out", "/dev/full"], False),
+        (["bench", "--n", "10"], True),
+    ],
+    ids=["sample-out", "sample-stdout", "validate-out", "bench-stdout"],
+)
+def test_full_disk_exits_two_without_traceback(argv, to_stdout):
+    # stdout stays block-buffered, so a short run fails only when it is flushed
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "patternblocks", *argv, "--dist", "arcsine-mod"],
+            stdout=full if to_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

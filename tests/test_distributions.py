@@ -32,7 +32,7 @@ from patternblocks.distributions import (
     half_normal_tail_sampler,
     modulation,
 )
-from patternblocks.numeric import bin_probabilities_2d
+from patternblocks.numeric import quad_2d_grid
 from patternblocks.rng import UniformSource
 
 # frozen from the tanh-sinh quadrature of the arcsine pdf over [0, 1/8]
@@ -211,10 +211,16 @@ def test_mixture_density_zero_outside_domain(mixture_density):
 
 
 def test_mixture_bins_match_quadrature_oracle():
-    # the closed-form bins against the independent midpoint quadrature
+    # the closed-form bins against an independent 100 x 100 midpoint
+    # quadrature of each bin
     (edges, _), probs = TARGETS["gauss-mix-2d"].bins()
-    oracle = bin_probabilities_2d(gauss_mixture_xy, MIX_DOMAIN, 16)
     assert len(edges) == 17
+    cells = list(zip(edges[:-1], edges[1:]))
+    oracle = np.array([
+        [quad_2d_grid(gauss_mixture_xy, (bx, by), 100).value for by in cells]
+        for bx in cells
+    ])
+    oracle /= oracle.sum()
     assert np.max(np.abs(probs / oracle - 1.0)) < 2e-4
 
 

@@ -9,7 +9,6 @@ from patternblocks.numeric import (
     QuadratureError,
     bin_probabilities_1d,
     bin_counts,
-    bin_probabilities_2d,
     chi_square_gof,
     quad_1d,
     quad_2d_grid,
@@ -203,10 +202,4 @@ def test_chi_square_requires_normalized_probs():
 def test_bin_probabilities_helpers():
     probs = bin_probabilities_1d(lambda a, b: b - a, np.linspace(0, 1, 5))
     assert np.allclose(probs, 0.25)
-    grid = bin_probabilities_2d(
-        lambda x, y: np.ones_like(x * y), ((0, 1), (0, 1)), 4
-    )
-    assert grid.shape == (4, 4)
-    assert abs(grid.sum() - 1.0) < 1e-12
-    assert np.allclose(grid, 1.0 / 16.0)
 
