@@ -1,9 +1,10 @@
 """One-dimensional block constructors.
 
-Three families: axis-aligned rectangles, scaled-envelope strips sampled by
-inverse CDF (for densities with singular factors), and the equal-area
-ziggurat layout over a strictly decreasing density, whose stacked rectangle
-layers plus composite base block reproduce the classical ziggurat sampler.
+Three families: rectangles (core.band_block over an interval),
+scaled-envelope strips sampled by inverse CDF (for densities with singular
+factors), and the equal-area ziggurat layout over a strictly decreasing
+density, whose stacked rectangle layers plus composite base block
+reproduce the classical ziggurat sampler.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import BlockSet, PatternBlock
+from .core import BlockSet, PatternBlock, band_block
 from .rng import UniformSource
 
 R_BRACKET = (1e-3, 20.0)  # build_ziggurat bisects the tail start r in here
@@ -28,27 +29,17 @@ class ZigguratError(RuntimeError):
 def rect_block(
     x_lo: float, x_hi: float, y_lo: float, y_hi: float, label: str = ""
 ) -> PatternBlock:
-    """Rectangle [x_lo, x_hi] x [y_lo, y_hi] with the obvious affine sampler.
+    """Rectangle [x_lo, x_hi] x [y_lo, y_hi], the band block over an interval.
 
     Draw order per sample: one uniform for x, one for y.
     """
     if not x_lo < x_hi:
         raise ValueError("need x_lo < x_hi")
-    if not 0.0 <= y_lo < y_hi:
-        raise ValueError("need 0 <= y_lo < y_hi")
     width = x_hi - x_lo
-    height = y_hi - y_lo
-    measure = width * height
-
-    def sample(source: UniformSource):
-        x = x_lo + width * source.next_unit()
-        y = y_lo + height * source.next_unit()
-        return (x,), y
-
-    def contains(point, y):
-        return x_lo <= point[0] <= x_hi and y_lo <= y <= y_hi
-
-    return PatternBlock(measure, sample, contains, label or "rect", height_band=(y_lo, y_hi))
+    return band_block(
+        width, lambda source: (x_lo + width * source.next_unit(),),
+        lambda point: x_lo <= point[0] <= x_hi, y_lo, y_hi, label or "rect",
+    )
 
 
 def envelope_block(
@@ -103,7 +94,6 @@ class ZigguratLayout:
     x: tuple[float, ...]
     f_at_x: tuple[float, ...]
     layer_area: float
-    tail_mass_at_r: float
     tail_sampler: Callable[[float, UniformSource], float]
 
     @property
@@ -162,9 +152,7 @@ def build_ziggurat(
             xs.append(0.0)
             xs.reverse()
             f_vals = tuple(f(x) for x in xs)
-            return ZigguratLayout(
-                tuple(xs), f_vals, v, tail_mass(xs[-1]), tail_sampler
-            )
+            return ZigguratLayout(tuple(xs), f_vals, v, tail_sampler)
         mid = 0.5 * (lo + hi)
         attempt = walk(mid)
         if attempt is None:

@@ -1,9 +1,10 @@
 """Two-dimensional block constructors.
 
-Slabs cover a full rectangle at a height band, superlevel blocks restrict a
-bounding-box sampler to {f >= y_lo} by inner rejection, and cylinder
-blocks sit over disks sampled in polar coordinates via the closed-form
-radial inverse CDF r = d * sqrt(u).
+Each is a band block (core.band_block), defined by its footprint's area,
+uniform point sampler and membership test. Slabs stand on a rectangle,
+superlevel blocks restrict a bounding-box sampler to {f >= y_lo} by inner
+rejection, and cylinders stand on disks sampled in polar coordinates via
+the closed-form radial inverse CDF r = d * sqrt(u).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PatternBlock, RejectionCapError
+from .core import PatternBlock, RejectionCapError, band_block, check_band
 from .numeric import Rect, midpoint_bands
 from .rng import UniformSource
 
@@ -29,28 +30,19 @@ def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> Pattern
     (x1_lo, x1_hi), (x2_lo, x2_hi) = rect
     if not (x1_lo < x1_hi and x2_lo < x2_hi):
         raise ValueError("degenerate footprint rectangle")
-    if not 0.0 <= y_lo < y_hi:
-        raise ValueError("need 0 <= y_lo < y_hi")
     w1 = x1_hi - x1_lo
     w2 = x2_hi - x2_lo
-    band = y_hi - y_lo
-    measure = w1 * w2 * band
 
-    def sample(source: UniformSource):
+    def sample_point(source: UniformSource):
         x1 = x1_lo + w1 * source.next_unit()
         x2 = x2_lo + w2 * source.next_unit()
-        y = y_lo + band * source.next_unit()
-        return (x1, x2), y
+        return x1, x2
 
-    def contains(point, y):
+    def in_footprint(point):
         x1, x2 = point
-        return (
-            x1_lo <= x1 <= x1_hi
-            and x2_lo <= x2 <= x2_hi
-            and y_lo <= y <= y_hi
-        )
+        return x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi
 
-    return PatternBlock(measure, sample, contains, label or "slab", height_band=(y_lo, y_hi))
+    return band_block(w1 * w2, sample_point, in_footprint, y_lo, y_hi, label or "slab")
 
 
 def cylinder_block(
@@ -67,26 +59,21 @@ def cylinder_block(
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if not 0.0 <= y_lo < y_hi:
-        raise ValueError("need 0 <= y_lo < y_hi")
     c1, c2 = center
-    band = y_hi - y_lo
-    measure = math.pi * radius * radius * band
     r2 = radius * radius
 
-    def sample(source: UniformSource):
+    def sample_point(source: UniformSource):
         r = radius * math.sqrt(source.next_unit())
         theta = 2.0 * math.pi * source.next_unit()
-        y = y_lo + band * source.next_unit()
-        return (c1 + r * math.cos(theta), c2 + r * math.sin(theta)), y
+        return c1 + r * math.cos(theta), c2 + r * math.sin(theta)
 
-    def contains(point, y):
+    def in_disk(point):
         dx = point[0] - c1
         dy = point[1] - c2
-        return dx * dx + dy * dy <= r2 and y_lo <= y <= y_hi
+        return dx * dx + dy * dy <= r2
 
-    return PatternBlock(
-        measure, sample, contains, label or "cylinder", height_band=(y_lo, y_hi)
+    return band_block(
+        math.pi * radius * radius, sample_point, in_disk, y_lo, y_hi, label or "cylinder"
     )
 
 
@@ -109,8 +96,7 @@ def superlevel_block(
     contains the superlevel set. Both walk the grid in bounded bands
     (numeric.midpoint_bands) and call f_xy on numpy arrays; each box
     proposal and each contains calls it on Python floats, so its float
-    path sets the sampling cost. Like every band constructor, this one
-    requires 0 <= y_lo < y_hi.
+    path sets the sampling cost. The band is checked before any grid work.
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are
@@ -118,8 +104,7 @@ def superlevel_block(
     misses in a row raise RejectionCapError. Draw order per sample:
     (x1, x2) pairs until accepted, then the height.
     """
-    if not 0.0 <= y_lo < y_hi:
-        raise ValueError("need 0 <= y_lo < y_hi")
+    check_band(y_lo, y_hi)
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounding_rect
     if not (x1_lo < x1_hi and x2_lo < x2_hi):
         raise ValueError("degenerate bounding rectangle")
@@ -132,30 +117,24 @@ def superlevel_block(
     )
     area = cells * (w1 / GRID) * (w2 / GRID)
     _assert_box_adequate(y_lo, bounding_rect, f_xy, domain_rect)
-
-    band = y_hi - y_lo
-    measure = area * band
-    if not measure > 0.0:
+    if not area > 0.0:
         raise ValueError("superlevel set has zero area at this resolution")
 
-    def sample(source: UniformSource):
+    def sample_point(source: UniformSource):
         for _ in range(INNER_CAP):
             x1 = x1_lo + w1 * source.next_unit()
             x2 = x2_lo + w2 * source.next_unit()
             if f_xy(x1, x2) >= y_lo:
-                y = y_lo + band * source.next_unit()
-                return (x1, x2), y
+                return x1, x2
         raise RejectionCapError(
             f"restriction sampler exhausted {INNER_CAP} proposals; "
             "level and bounding box are inconsistent"
         )
 
-    def contains(point, y):
-        return y_lo <= y <= y_hi and f_xy(point[0], point[1]) >= y_lo
+    def in_superlevel(point):
+        return f_xy(point[0], point[1]) >= y_lo
 
-    return PatternBlock(
-        measure, sample, contains, label or "superlevel", height_band=(y_lo, y_hi)
-    )
+    return band_block(area, sample_point, in_superlevel, y_lo, y_hi, label or "superlevel")
 
 
 def _assert_box_adequate(level, bounding_rect, f_xy, domain_rect):

@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import distributions, numeric
-from .blocks1d import ZigguratError
+from .blocks1d import ZigguratError, ziggurat_blockset
 from .core import (
     DensityValueError,
     PatternBlockSampler,
@@ -169,11 +169,10 @@ def cmd_zigg_table(args) -> int:
         raise UsageError("--layers must be at least 2")
     with _open_out(args.out) as out:
         layout = distributions.half_normal_ziggurat(args.layers)
-        xs = layout.x
-        fs = layout.f_at_x
-        rows = [(0, xs[0], fs[0], xs[-1] * fs[-1] + layout.tail_mass_at_r)]
-        for i in range(1, layout.n_layers):
-            rows.append((i, xs[i], fs[i], xs[i] * (fs[i - 1] - fs[i])))
+        # the cover's blocks: layers 1 .. n-1, then the base, which is row 0
+        blocks = ziggurat_blockset(layout, distributions.half_normal_pdf).blocks
+        areas = [blocks[-1].measure] + [b.measure for b in blocks[:-1]]
+        rows = zip(range(layout.n_layers), layout.x, layout.f_at_x, areas)
         _write_rows(out, [rows], ["i", "x", "f", "area"], args.format)
     return 0
 

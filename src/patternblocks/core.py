@@ -94,6 +94,34 @@ class PatternBlock:
             raise ValueError(f"height band must satisfy lo <= hi, got {self.height_band}")
 
 
+def check_band(y_lo: float, y_hi: float) -> float:
+    """y_hi - y_lo, after the band rule 0 <= y_lo < y_hi (NaN breaks it)."""
+    if not 0.0 <= y_lo < y_hi:
+        raise ValueError("need 0 <= y_lo < y_hi")
+    return y_hi - y_lo
+
+
+def band_block(
+    area: float, sample_point: Callable, in_footprint: Callable,
+    y_lo: float, y_hi: float, label: str,
+) -> PatternBlock:
+    """Footprint of the given area times the height band [y_lo, y_hi].
+
+    sample_point(source) draws a uniform point of the footprint and
+    in_footprint(point) tests membership in it. A sample draws the point,
+    then one uniform for the height; the measure is area * (y_hi - y_lo).
+    """
+    band = check_band(y_lo, y_hi)
+
+    def sample(source: UniformSource):
+        return sample_point(source), y_lo + band * source.next_unit()
+
+    def contains(point, y):
+        return y_lo <= y <= y_hi and in_footprint(point)
+
+    return PatternBlock(area * band, sample, contains, label, height_band=(y_lo, y_hi))
+
+
 class BlockSet:
     """Ordered pattern blocks with cumulative selection weights.
 

@@ -135,7 +135,8 @@ def bin_probabilities_1d(
 
 
 def bin_counts(samples, bin_edges) -> np.ndarray:
-    """int64 counts of points (array of shape (n,) or (n, d)) on given edges.
+    """int64 counts of points (array of shape (n,) or (n, d)) on given edges:
+    one flat sequence of numbers for 1-D points, else one sequence per axis.
 
     Every sample must land inside the edges; silently dropping points
     would corrupt goodness-of-fit counts downstream.
@@ -143,7 +144,7 @@ def bin_counts(samples, bin_edges) -> np.ndarray:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if isinstance(bin_edges, np.ndarray) and bin_edges.ndim == 1:
+    if all(np.ndim(e) == 0 for e in bin_edges):  # one flat sequence: a single axis
         bin_edges = (bin_edges,)
     edges = tuple(np.asarray(e, dtype=float) for e in bin_edges)
     if pts.shape[1] != len(edges):

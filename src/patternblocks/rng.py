@@ -9,7 +9,7 @@ has to feed rejection samplers with well-equidistributed uniforms.
 
 from __future__ import annotations
 
-from operator import length_hint
+from operator import index, length_hint
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class UniformSource:
     """
 
     def __init__(self, seed: int):
-        self._bits = np.random.PCG64(seed & _MASK64)
+        self._bits = np.random.PCG64(index(seed) & _MASK64)
         self._chunk = iter(())
         self._chunk_end = 0  # stream position just past the current chunk
 

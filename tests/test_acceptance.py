@@ -126,7 +126,7 @@ def test_criterion_07_mixture_cover_grid():
 def test_criterion_08_ziggurat_reduction(zigg_layout, zigg_blocks, half_normal_density):
     xs, fs, v = zigg_layout.x, zigg_layout.f_at_x, zigg_layout.layer_area
     areas = [xs[i] * (fs[i - 1] - fs[i]) for i in range(1, zigg_layout.n_layers)]
-    areas.append(xs[-1] * fs[-1] + zigg_layout.tail_mass_at_r)
+    areas.append(xs[-1] * fs[-1] + distributions.half_normal_tail_mass(xs[-1]))
     area_spread = max(abs(a - v) for a in areas)
     sampler = PatternBlockSampler(half_normal_density, zigg_blocks, UniformSource(11))
     draws = np.array([p[0] for p in sampler.sample_many(100_000)])

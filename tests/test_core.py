@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from patternblocks import core, distributions
 from patternblocks.blocks1d import envelope_block, rect_block
-from patternblocks.blocks2d import cylinder_block
+from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.core import (
     BlockSet,
     CheckResult,
@@ -485,8 +485,50 @@ def test_validate_contains_budget(half_normal_density, zigg_blocks):
     assert calls <= 300_000
 
 
-def test_constructors_declare_height_bands(zigg_layout, zigg_blocks, mixture_blocks):
-    assert rect_block(0.0, 1.0, 0.25, 0.75).height_band == (0.25, 0.75)
+def _flat(x1, x2):
+    # a constant density: its superlevel set below 1 is the whole box
+    return 1.0 + 0.0 * (x1 * x2)
+
+
+def _no_grid(x1, x2):
+    raise AssertionError("grid work before the band check")
+
+
+_BOX = ((0.0, 2.0), (0.0, 1.5))
+# each band constructor on [y_lo, y_hi] (a superlevel block of f_xy),
+# its footprint area, and the uniforms its footprint point takes
+BAND_BLOCKS = {
+    "rect": (lambda lo, hi, f_xy: rect_block(0.5, 2.5, lo, hi), 2.0, 1),
+    "slab": (lambda lo, hi, f_xy: slab_block(_BOX, lo, hi), 3.0, 2),
+    "cylinder": (
+        lambda lo, hi, f_xy: cylinder_block((1.0, -1.0), 0.5, lo, hi), math.pi * 0.25, 2
+    ),
+    "superlevel": (
+        lambda lo, hi, f_xy: superlevel_block(_BOX, f_xy, lo, hi, domain_rect=_BOX), 3.0, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAND_BLOCKS))
+def test_constructors_declare_height_bands(kind, stub_source):
+    make, area, footprint_draws = BAND_BLOCKS[kind]
+    for y_lo, y_hi in [(-0.5, 1.0), (0.5, 0.5), (1.0, 0.5), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match=r"^need 0 <= y_lo < y_hi$"):
+            make(y_lo, y_hi, _no_grid)
+    block = make(0.25, 0.75, _flat)
+    assert block.label == kind
+    assert block.height_band == (0.25, 0.75)
+    assert block.measure == pytest.approx(area * 0.5, rel=1e-12)
+    values = [0.1, 0.2, 0.3, 0.4]
+    source = stub_source(values)
+    point, y = block.sample_uniform(source)
+    assert source.draws_issued == footprint_draws + 1
+    assert y == 0.25 + 0.5 * values[footprint_draws]
+    assert block.contains(point, 0.25) and block.contains(point, 0.75)
+    assert not block.contains(point, 0.2) and not block.contains(point, 0.8)
+
+
+def test_other_blocks_declare_height_bands(zigg_layout, zigg_blocks, mixture_blocks):
     assert zigg_blocks.blocks[-1].height_band == (0.0, zigg_layout.f_at_x[-1])
     assert [b.height_band for b in mixture_blocks.blocks[:2]] == [
         (0.0, distributions.B0),

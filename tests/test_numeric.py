@@ -110,15 +110,23 @@ def test_histogram_counts_1d():
     assert counts.dtype == np.int64
     assert counts.sum() == 10_000
     assert np.array_equal(counts, np.histogram(samples, bins=edges)[0])
+    # a flat list or tuple of numbers is one axis of edges too
+    for flat in (edges.tolist(), tuple(edges.tolist())):
+        assert np.array_equal(bin_counts(samples, flat), counts)
+    probs = np.full(20, 1 / 20)
+    assert chi_square_gof(samples, edges.tolist(), probs) == chi_square_gof(samples, edges, probs)
 
 
 def test_histogram_counts_2d():
     rng = np.random.default_rng(6)
     samples = rng.random((5000, 2))
-    edges = (np.linspace(0, 1, 11), np.linspace(0, 1, 6))
-    counts = bin_counts(samples, edges)
-    assert counts.shape == (10, 5)
-    assert np.array_equal(counts, np.histogram2d(samples[:, 0], samples[:, 1], bins=edges)[0])
+    # per-axis arrays of unequal and of equal length
+    for shape in [(11, 6), (11, 11)]:
+        edges = tuple(np.linspace(0, 1, k) for k in shape)
+        counts = bin_counts(samples, edges)
+        assert counts.shape == (shape[0] - 1, shape[1] - 1)
+        expected = np.histogram2d(samples[:, 0], samples[:, 1], bins=edges)[0]
+        assert np.array_equal(counts, expected)
 
 
 def test_histogram_rejects_out_of_range():

@@ -33,6 +33,18 @@ def test_hand_outs_match_raw_words(seed):
     assert [source.next_unit() for _ in range(n)] == ((words >> 11) * 2.0**-53).tolist()
 
 
+@pytest.mark.parametrize("seed, same", [(np.int64(-5), -5), (np.uint64(5), 5)])
+def test_numpy_integer_seeds(seed, same):
+    a = UniformSource(seed)
+    b = UniformSource(same)
+    assert [a.next_unit() for _ in range(10)] == [b.next_unit() for _ in range(10)]
+
+
+def test_float_seed_is_rejected():
+    with pytest.raises(TypeError):
+        UniformSource(5.0)
+
+
 def test_draw_counter_across_hand_outs_and_rounds():
     source = UniformSource(11)
     assert source.draws_issued == 0
