@@ -4,16 +4,20 @@ Three families: rectangles (core.band_block over an interval),
 scaled-envelope strips sampled by inverse CDF (for densities with singular
 factors), and the equal-area ziggurat layout over a strictly decreasing
 density, whose stacked rectangle layers plus composite base block
-reproduce the classical ziggurat sampler.
+reproduce the classical ziggurat sampler. Rectangles and strips carry
+array kernels, each written once for floats and arrays; the ziggurat base
+(one attempt in n_layers) runs its scalar sampler through the sampler's
+adapter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import BlockSet, PatternBlock, band_block
+from .core import BlockSet, Kernel, PatternBlock, band_block, each, formula_footprint
 from .rng import UniformSource
 
 R_BRACKET = (1e-3, 20.0)  # build_ziggurat bisects the tail start r in here
@@ -26,19 +30,24 @@ class ZigguratError(RuntimeError):
     """Equal-area bisection failed to converge."""
 
 
+def _interval_point(x_lo, width, u):
+    return (x_lo + width * u,)
+
+
 def rect_block(
     x_lo: float, x_hi: float, y_lo: float, y_hi: float, label: str = ""
 ) -> PatternBlock:
     """Rectangle [x_lo, x_hi] x [y_lo, y_hi], the band block over an interval.
 
-    Draw order per sample: one uniform for x, one for y.
+    Draw order per sample: one uniform for y, one for x.
     """
     if not x_lo < x_hi:
         raise ValueError("need x_lo < x_hi")
     width = x_hi - x_lo
+    sample_point, footprint = formula_footprint(_interval_point, (x_lo, width), 1)
     return band_block(
-        width, lambda source: (x_lo + width * source.next_unit(),),
-        lambda point: x_lo <= point[0] <= x_hi, y_lo, y_hi, label or "rect",
+        width, sample_point, lambda point: x_lo <= point[0] <= x_hi,
+        y_lo, y_hi, label or "rect", footprint,
     )
 
 
@@ -58,7 +67,7 @@ def envelope_block(
     [0, b * envelope_pdf(x)]. Measure is b * (cdf(a_hi) - cdf(a_lo)). The
     envelope pdf may blow up at strip endpoints: those points are hit with
     probability zero, and an infinite height simply loses the later
-    under-the-graph comparison.
+    under-the-graph comparison. Draw order per sample: x, then the height.
     """
     if not a_lo < a_hi:
         raise ValueError("need a_lo < a_hi")
@@ -69,15 +78,35 @@ def envelope_block(
     measure = b * span
 
     def sample(source: UniformSource):
-        v = envelope_cdf_inv(cdf_lo + span * source.next_unit())
-        w = b * envelope_pdf(v) * source.next_unit()
-        return (v,), w
+        return _strip_point(
+            envelope_pdf, envelope_cdf_inv, cdf_lo, span, b, source.next_unit(), source.next_unit()
+        )
 
     def contains(point, y):
         x = point[0]
         return a_lo <= x <= a_hi and 0.0 <= y <= b * envelope_pdf(x)
 
-    return PatternBlock(measure, sample, contains, label or "envelope")
+    kernel = Kernel(_strip_sample(envelope_pdf, envelope_cdf_inv), (cdf_lo, span, b))
+    return PatternBlock(measure, sample, contains, label or "envelope", kernel=kernel)
+
+
+def _strip_point(pdf, cdf_inv, cdf_lo, span, b, u, t):
+    # on arrays, pdf and cdf_inv run on each element, as on floats
+    v = each(cdf_inv, cdf_lo + span * u)
+    return (v,), b * each(pdf, v) * t
+
+
+@functools.lru_cache(maxsize=64)
+def _strip_sample(pdf, cdf_inv):
+    """Kernel sample of the strips under one envelope (bounded cache, as
+    core's kernel factories)."""
+
+    def sample(params, units, overflow):
+        cdf_lo, span, b = params.T
+        coords, heights = _strip_point(pdf, cdf_inv, cdf_lo, span, b, units[:, 0], units[:, 1])
+        return coords, heights, None
+
+    return sample
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Two-dimensional block constructors.
 
 Each is a band block (core.band_block), defined by its footprint's area,
-uniform point sampler and membership test. Slabs stand on a rectangle,
-superlevel blocks restrict a bounding-box sampler to {f >= y_lo} by inner
-rejection, and cylinders stand on disks sampled in polar coordinates via
-the closed-form radial inverse CDF r = d * sqrt(u).
+uniform point sampler and membership test; a sample draws the height
+first, then the point. Slabs stand on a rectangle, superlevel blocks
+restrict a bounding-box sampler to {f >= y_lo} by inner rejection, and
+cylinders stand on disks sampled in polar coordinates via the closed-form
+radial inverse CDF r = d * sqrt(u). Each footprint formula is written once
+and serves the scalar sampler and the array kernel; the disk's cos and sin
+run element by element through math (core.each), so both round alike.
 """
 
 from __future__ import annotations
@@ -14,35 +17,46 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PatternBlock, RejectionCapError, band_block, check_band
+from .core import Kernel, PatternBlock, RejectionCapError, band_block, check_band, each
+from .core import formula_footprint
 from .numeric import Rect, midpoint_bands
 from .rng import UniformSource
 
 INNER_CAP = 1_000_000  # box proposals one superlevel sample may spend
 GRID = 2000  # cells per axis of the superlevel area count and leak scan
+OVERFLOW_BATCH = 1 << 16  # most box proposals a superlevel kernel draws at a time
+
+
+def _box_point(x1_lo, w1, x2_lo, w2, u1, u2):
+    return x1_lo + w1 * u1, x2_lo + w2 * u2
+
+
+def _disk_point(c1, c2, radius, u_r, u_t):
+    # sqrt is correctly rounded in math and numpy alike
+    r = radius * (np.sqrt(u_r) if isinstance(u_r, np.ndarray) else math.sqrt(u_r))
+    theta = 2.0 * math.pi * u_t
+    return c1 + r * each(math.cos, theta), c2 + r * each(math.sin, theta)
 
 
 def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> PatternBlock:
     """Full rectangle footprint times the height band [y_lo, y_hi].
 
-    Draw order per sample: x1, x2, height.
+    Draw order per sample: height, x1, x2.
     """
     (x1_lo, x1_hi), (x2_lo, x2_hi) = rect
     if not (x1_lo < x1_hi and x2_lo < x2_hi):
         raise ValueError("degenerate footprint rectangle")
     w1 = x1_hi - x1_lo
     w2 = x2_hi - x2_lo
-
-    def sample_point(source: UniformSource):
-        x1 = x1_lo + w1 * source.next_unit()
-        x2 = x2_lo + w2 * source.next_unit()
-        return x1, x2
+    sample_point, footprint = formula_footprint(_box_point, (x1_lo, w1, x2_lo, w2), 2)
 
     def in_footprint(point):
         x1, x2 = point
         return x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi
 
-    return band_block(w1 * w2, sample_point, in_footprint, y_lo, y_hi, label or "slab")
+    return band_block(
+        w1 * w2, sample_point, in_footprint, y_lo, y_hi, label or "slab", footprint
+    )
 
 
 def cylinder_block(
@@ -55,17 +69,13 @@ def cylinder_block(
     """Disk of the given radius times the height band, sampled in polar form.
 
     Radius comes from r = radius * sqrt(u) (the area-uniform radial law),
-    the angle is uniform on [0, 2*pi). Draw order: radius, angle, height.
+    the angle is uniform on [0, 2*pi). Draw order: height, radius, angle.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c1, c2 = center
     r2 = radius * radius
-
-    def sample_point(source: UniformSource):
-        r = radius * math.sqrt(source.next_unit())
-        theta = 2.0 * math.pi * source.next_unit()
-        return c1 + r * math.cos(theta), c2 + r * math.sin(theta)
+    sample_point, footprint = formula_footprint(_disk_point, (c1, c2, radius), 2)
 
     def in_disk(point):
         dx = point[0] - c1
@@ -73,7 +83,8 @@ def cylinder_block(
         return dx * dx + dy * dy <= r2
 
     return band_block(
-        math.pi * radius * radius, sample_point, in_disk, y_lo, y_hi, label or "cylinder"
+        math.pi * radius * radius, sample_point, in_disk, y_lo, y_hi,
+        label or "cylinder", footprint,
     )
 
 
@@ -94,15 +105,19 @@ def superlevel_block(
     dependence). A scan of the same grid over domain_rect asserts that no
     cell outside bounding_rect reaches the level, i.e. the box really
     contains the superlevel set. Both walk the grid in bounded bands
-    (numeric.midpoint_bands) and call f_xy on numpy arrays; each box
-    proposal and each contains calls it on Python floats, so its float
-    path sets the sampling cost. The band is checked before any grid work.
+    (numeric.midpoint_bands) and call f_xy on numpy arrays, as the kernel
+    does on its proposals; the scalar sampler's proposals and contains call
+    it on Python floats. The band is checked before any grid work.
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are
     invisible to the outer accept/reject attempt counting, and INNER_CAP
-    misses in a row raise RejectionCapError. Draw order per sample:
-    (x1, x2) pairs until accepted, then the height.
+    misses in a row raise RejectionCapError. Draw order per sample: the
+    height, then (x1, x2) pairs until accepted. In a sampling round the
+    first pair comes from the attempt's slot; the kernel then hands the
+    j-th pair of the block's overflow stream that clears the level to the
+    j-th attempt whose slot pair missed, in attempt order, which is what
+    the scalar sampler reads attempt by attempt.
     """
     check_band(y_lo, y_hi)
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounding_rect
@@ -122,19 +137,55 @@ def superlevel_block(
 
     def sample_point(source: UniformSource):
         for _ in range(INNER_CAP):
-            x1 = x1_lo + w1 * source.next_unit()
-            x2 = x2_lo + w2 * source.next_unit()
+            x1, x2 = _box_point(x1_lo, w1, x2_lo, w2, source.next_unit(), source.next_unit())
             if f_xy(x1, x2) >= y_lo:
                 return x1, x2
-        raise RejectionCapError(
-            f"restriction sampler exhausted {INNER_CAP} proposals; "
-            "level and bounding box are inconsistent"
-        )
+        _exhausted()
+
+    def restricted(params, units, overflow):
+        x1, x2 = _box_point(x1_lo, w1, x2_lo, w2, units[:, 0], units[:, 1])
+        missed = np.flatnonzero(~(f_xy(x1, x2) >= y_lo))
+        if not missed.size:
+            return (x1, x2), None
+        cap = INNER_CAP
+        found = []  # (x1, x2, overflow pairs read through each) of the pairs that clear
+        wanted = missed.size
+        read = last = 0  # overflow pairs read, and read through the last pair that cleared
+        while wanted:
+            batch = min(OVERFLOW_BATCH, math.ceil(1.1 * wanted * w1 * w2 / area) + 16)
+            u = overflow.units(2 * batch)
+            b1, b2 = _box_point(x1_lo, w1, x2_lo, w2, u[0::2], u[1::2])
+            cleared = np.flatnonzero(f_xy(b1, b2) >= y_lo)[:wanted]
+            through = read + 1 + cleared
+            # an attempt spends its slot pair, then the pairs since the last one that cleared
+            gaps = np.diff(through, prepend=last)
+            found.append((b1[cleared], b2[cleared], through))
+            read += batch
+            wanted -= cleared.size
+            if cleared.size:
+                last = int(through[-1])
+            if np.any(gaps >= cap) or (wanted and 1 + read - last >= cap):
+                _exhausted()
+        f1, f2, through = (np.concatenate(parts) for parts in zip(*found))
+        x1[missed] = f1
+        x2[missed] = f2
+        used = np.zeros(len(x1), np.int64)
+        used[missed] = 2 * through
+        return (x1, x2), np.maximum.accumulate(used)
 
     def in_superlevel(point):
         return f_xy(point[0], point[1]) >= y_lo
 
-    return band_block(area, sample_point, in_superlevel, y_lo, y_hi, label or "superlevel")
+    return band_block(
+        area, sample_point, in_superlevel, y_lo, y_hi, label or "superlevel", Kernel(restricted)
+    )
+
+
+def _exhausted():
+    raise RejectionCapError(
+        f"restriction sampler exhausted {INNER_CAP} proposals; "
+        "level and bounding box are inconsistent"
+    )
 
 
 def _assert_box_adequate(level, bounding_rect, f_xy, domain_rect):

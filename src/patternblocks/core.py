@@ -7,21 +7,33 @@ by measure-weighted selection, draws a uniform point of that block, and
 accepts it when the height lies under the graph. The accepted points follow
 the normalized density, and the acceptance probability of each attempt is
 K / nu(B), the adoption rate.
+
+PatternBlockSampler runs attempts in numpy rounds. Attempt k reads the
+fixed slot of rng.SLOT main-stream units: its selection unit, then the
+units of its block. A block that needs more reads its own overflow stream
+(UniformSource.overflow). Every block kind samples all of a round's
+attempts in one call of its Kernel; a block without one runs its scalar
+sample_uniform attempt by attempt through one adapter, on the same units,
+with the same result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .rng import UniformSource
+import numpy as np
+
+from .rng import SLOT, UniformSource
 
 Point = tuple[float, ...]
 
 REJECTION_CAP = 1_000_000  # consecutive rejections that end a sample_many call
+ROUND = 4096  # most attempts one sampling round draws
 
 VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap fraction
 OVERLAP_SEED = 0  # stream of validate_blockset's overlap probes
@@ -44,7 +56,10 @@ class Density:
     evaluate maps a point (a 1- or 2-tuple of floats) to f(x) >= 0; f / K is
     the probability density the samplers aim at. K_provenance records
     whether K is known exactly (in closed form, as for every shipped
-    target) or was estimated by quadrature.
+    target) or was estimated by quadrature. evaluate_array, when given,
+    maps an (m, dim) array of points to their m values at once; it feeds
+    only the accept test, so it may differ from evaluate in the last bit.
+    Without it, the sampler calls evaluate on each point in attempt order.
     """
 
     dim: int
@@ -52,6 +67,7 @@ class Density:
     domain_bounds: tuple[tuple[float, float], ...]
     K: float
     K_provenance: str = "exact"
+    evaluate_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -62,6 +78,28 @@ class Density:
             raise ValueError("K must be positive and finite")
         if self.K_provenance not in ("exact", "quadrature"):
             raise ValueError("K_provenance must be 'exact' or 'quadrature'")
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """Array sampler of a block kind, called once a round for all the
+    attempts that select a block of that kind.
+
+    sample(params, units, overflow) samples g attempts and returns
+    (coords, heights, used):
+      params   (g, p) array, row j the params of attempt j's block;
+      units    (g, SLOT - 1) array, the attempts' slot units after selection;
+      overflow the block's overflow stream when the kind has one block,
+               else None;
+      coords   one (g,) array per coordinate; heights a (g,) array;
+      used     None, or a (g,) array: overflow units read through attempt j.
+    Blocks are of one kind when their kernels have the same sample function.
+    A kernel must give, bit for bit, what the block's sample_uniform gives
+    on a source that hands out the slot units and then the overflow stream.
+    """
+
+    sample: Callable
+    params: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,6 +116,9 @@ class PatternBlock:
     probes a block for overlap only against blocks whose bands meet its
     own, and fails when a sampled or accepted height falls outside the
     declaring block's band. The unbounded default never prunes a probe.
+
+    kernel is the block's optional array sampler (see Kernel); without one
+    the sampler runs sample_uniform attempt by attempt.
     """
 
     measure: float
@@ -85,6 +126,7 @@ class PatternBlock:
     contains: Callable[[Point, float], bool]
     label: str = ""
     height_band: tuple[float, float] = (-math.inf, math.inf)
+    kernel: Optional[Kernel] = None
 
     def __post_init__(self):
         if not (self.measure > 0.0 and math.isfinite(self.measure)):
@@ -92,6 +134,37 @@ class PatternBlock:
         lo, hi = self.height_band
         if not lo <= hi:
             raise ValueError(f"height band must satisfy lo <= hi, got {self.height_band}")
+
+
+def each(fn: Callable[[float], float], x):
+    """fn(x) for a float x; for an array, fn on each element. Array formulas
+    call math's transcendentals through it, so that they round as the
+    scalar formulas do: numpy's may differ in the last bit."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, len(x))
+    return fn(x)
+
+
+def formula_footprint(point: Callable, params: tuple, n_units: int):
+    """(sample_point, footprint kernel) of a footprint whose uniform point
+    is point(*params, *units) for n_units units: one formula, written for
+    floats and arrays alike, serves both."""
+
+    def sample_point(source: UniformSource):
+        return point(*params, *[source.next_unit() for _ in range(n_units)])
+
+    return sample_point, Kernel(_formula_sample(point, n_units), tuple(params))
+
+
+# Blocks share a kind when their kernels share a sample function, so the
+# factories below hand out one function per formula. Their caches are
+# bounded: a miss only splits a kind in two, which changes no point.
+@functools.lru_cache(maxsize=64)
+def _formula_sample(point, n_units):
+    def sample(params, units, overflow):
+        return point(*params.T, *units.T[:n_units]), None
+
+    return sample
 
 
 def check_band(y_lo: float, y_hi: float) -> float:
@@ -103,23 +176,37 @@ def check_band(y_lo: float, y_hi: float) -> float:
 
 def band_block(
     area: float, sample_point: Callable, in_footprint: Callable,
-    y_lo: float, y_hi: float, label: str,
+    y_lo: float, y_hi: float, label: str, footprint: Kernel,
 ) -> PatternBlock:
     """Footprint of the given area times the height band [y_lo, y_hi].
 
     sample_point(source) draws a uniform point of the footprint and
-    in_footprint(point) tests membership in it. A sample draws the point,
-    then one uniform for the height; the measure is area * (y_hi - y_lo).
+    in_footprint(point) tests membership in it. footprint is the array
+    form of sample_point: a Kernel whose sample returns (coords, used) for
+    the (g, SLOT - 2) units after the height. A sample draws one uniform
+    for the height first, then the point; the measure is
+    area * (y_hi - y_lo).
     """
     band = check_band(y_lo, y_hi)
 
     def sample(source: UniformSource):
-        return sample_point(source), y_lo + band * source.next_unit()
+        y = y_lo + band * source.next_unit()
+        return sample_point(source), y
 
     def contains(point, y):
         return y_lo <= y <= y_hi and in_footprint(point)
 
-    return PatternBlock(area * band, sample, contains, label, height_band=(y_lo, y_hi))
+    kernel = Kernel(_band_sample(footprint.sample), (y_lo, band, *footprint.params))
+    return PatternBlock(area * band, sample, contains, label, (y_lo, y_hi), kernel)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_sample(footprint):
+    def sample(params, units, overflow):
+        coords, used = footprint(params[:, 2:], units[:, 1:], overflow)
+        return coords, params[:, 0] + params[:, 1] * units[:, 0], used
+
+    return sample
 
 
 class BlockSet:
@@ -155,9 +242,13 @@ class BlockSet:
 
 
 # select_block(cumulative, u): smallest index i with u < cumulative[i]; one
-# always exists for u in [0, 1), as the last entry is 1.0. The sampling loop
-# selects through it, so it stays an alias: a def would cost a call per attempt.
+# always exists for u in [0, 1), as the last entry is 1.0.
 select_block = bisect_right
+
+
+def select_blocks(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """select_block on each unit of u: the selection of a sampling round."""
+    return np.searchsorted(cumulative, u, side="right")
 
 
 def exact_adoption_rate(density: Density, blockset: BlockSet) -> float:
@@ -322,16 +413,21 @@ def _block_name(blocks, i):
 class PatternBlockSampler:
     """Accept/reject sampler over a validated block set.
 
-    Each attempt draws one selection uniform, picks a block with
-    select_block, samples that block uniformly, and accepts when the height
-    lies under the density graph (inclusive comparison; the boundary has
-    measure zero, the choice is fixed for determinism). attempts counts
-    loop iterations and accepted counts returned samples, so accepted /
-    attempts estimates the adoption rate. A rejected attempt whose density
-    value is NaN or negative raises DensityValueError; REJECTION_CAP
-    consecutive rejections within one sample raise RejectionCapError.
-    empirical_rate is None before the first attempt. One sampler per
-    thread; the underlying source must not be shared.
+    Each attempt takes one selection unit, picks a block with select_block's
+    rule, samples that block uniformly, and accepts when the height lies
+    under the density graph (inclusive comparison; the boundary has measure
+    zero, the choice is fixed for determinism). Attempts run in rounds of
+    at most ROUND, each sized to the points still needed at the exact
+    adoption rate; after a round the streams are rewound to just after the
+    last attempt used, so the points depend only on the seed, never on
+    round or call sizes. attempts counts attempts through the last accepted
+    point and accepted counts returned samples, so accepted / attempts
+    estimates the adoption rate. A rejected attempt whose density value is
+    NaN or negative raises DensityValueError; REJECTION_CAP consecutive
+    rejections within one call raise RejectionCapError. Both are raised at
+    the first such attempt in attempt order. empirical_rate is None before
+    the first attempt. One sampler per thread; the underlying source must
+    not be shared.
     """
 
     def __init__(self, density: Density, blockset: BlockSet, source: UniformSource):
@@ -340,6 +436,24 @@ class PatternBlockSampler:
         self.source = source
         self.attempts = 0
         self.accepted = 0
+        self._rate = min(1.0, exact_adoption_rate(density, blockset))
+        self._evaluate = density.evaluate_array or _evaluate_each(density.evaluate)
+        self._cumulative = np.array(blockset.cumulative)
+        # blocks of one kind share a kernel; kind_of and row_of map a block
+        # to its kind and to its row of the kind's params
+        kernels = [b.kernel or Kernel(_adapter(b.sample_uniform)) for b in blockset.blocks]
+        members = {}
+        for i, kernel in enumerate(kernels):
+            members.setdefault(kernel.sample, []).append(i)
+        self._kinds = []
+        self._kind_of = np.empty(len(kernels), np.intp)
+        self._row_of = np.empty(len(kernels), np.intp)
+        for k, (sample, ids) in enumerate(members.items()):
+            self._kind_of[ids] = k
+            self._row_of[ids] = range(len(ids))
+            params = np.array([kernels[i].params for i in ids], float)
+            params = params.reshape(len(ids), len(kernels[ids[0]].params))
+            self._kinds.append((sample, params, ids[0] if len(ids) == 1 else None))
 
     def sample_one(self) -> Point:
         return self.sample_many(1)[0]
@@ -349,42 +463,134 @@ class PatternBlockSampler:
         the batch part way."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        evaluate = self.density.evaluate
-        blocks = self.blockset.blocks
-        cumulative = self.blockset.cumulative
-        select = select_block
-        source = self.source
-        next_unit = source.next_unit
         cap = REJECTION_CAP
-        points = []
-        append = points.append
-        attempts = 0
+        kept = []
+        accepted = attempts = 0
+        streak = 0  # consecutive rejections so far
         try:
-            for _ in range(n):
-                consecutive = 0
-                while True:
-                    block = blocks[select(cumulative, next_unit())]
-                    point, w = block.sample_uniform(source)
-                    attempts += 1
-                    fx = evaluate(point)
-                    if w <= fx:
-                        break
-                    if not fx >= 0.0:
-                        raise DensityValueError(
-                            f"density is {fx!r} at {point!r}; it must be nonnegative, not NaN"
-                        )
-                    consecutive += 1
-                    if consecutive >= cap:
-                        raise RejectionCapError(
-                            f"{consecutive} consecutive rejections; "
-                            "block set does not match the density"
-                        )
-                append(point)
+            while accepted < n:
+                need = n - accepted
+                # sized to the need at the adoption rate; a round that met
+                # only rejections doubles the next one
+                rate = self._rate
+                m = math.ceil(need / rate) if need < ROUND * rate else ROUND
+                m = min(ROUND, max(streak, m))
+                points, heights, reads = self._round(m)
+                fx = self._evaluate(points)
+                hit = heights <= fx
+                # stop at the need-th acceptance, or at the first failing attempt
+                hits = np.cumsum(hit)
+                stop = int(np.searchsorted(hits, need)) if hits[-1] >= need else m - 1
+                index = np.arange(m)
+                streaks = index - np.maximum.accumulate(np.where(hit, index, -1 - streak))
+                bad = np.flatnonzero(~hit & ~(fx >= 0.0))
+                capped = np.flatnonzero(streaks >= cap)
+                error = None
+                if bad.size and bad[0] <= stop and not (capped.size and capped[0] < bad[0]):
+                    stop = int(bad[0])
+                    error = DensityValueError(
+                        f"density is {float(fx[stop])!r} at {tuple(points[stop].tolist())!r}; "
+                        "it must be nonnegative, not NaN"
+                    )
+                elif capped.size and capped[0] <= stop:
+                    stop = int(capped[0])
+                    error = RejectionCapError(
+                        f"{int(streaks[stop])} consecutive rejections; "
+                        "block set does not match the density"
+                    )
+                keep = np.flatnonzero(hit[:stop + 1])
+                kept.append(points[keep])
+                accepted += len(keep)
+                attempts += stop + 1
+                streak = int(streaks[stop])
+                self._rewind(m, stop, reads)
+                if error is not None:
+                    raise error
         finally:
             self.attempts += attempts
-            self.accepted += len(points)
-        return points
+            self.accepted += accepted
+        if not kept:
+            return []
+        return list(zip(*np.concatenate(kept).T.tolist()))
+
+    def _round(self, m: int):
+        """Points (m, dim) and heights (m,) of the next m attempts, and for
+        each kind that read its overflow stream: (stream, its position
+        before the round, the kind's attempts, overflow units used)."""
+        source = self.source
+        units = source.units(SLOT * m).reshape(m, SLOT)
+        blocks = select_blocks(self._cumulative, units[:, 0])
+        kinds = self._kind_of[blocks]
+        rows = self._row_of[blocks]
+        points = np.empty((m, self.density.dim))
+        heights = np.empty(m)
+        reads = []
+        for kind, (sample, params, block) in enumerate(self._kinds):
+            attempts = np.flatnonzero(kinds == kind)
+            if not attempts.size:
+                continue
+            stream = None if block is None else source.overflow(block)
+            mark = stream.draws_issued if stream is not None else 0
+            coords, heights[attempts], used = sample(
+                params[rows[attempts]], units[attempts, 1:], stream
+            )
+            for axis, values in enumerate(coords):
+                points[attempts, axis] = values
+            if used is not None:
+                reads.append((stream, mark, attempts, used))
+        return points, heights, reads
+
+    def _rewind(self, m: int, stop: int, reads):
+        """Rewind every stream to just after attempt stop of an m-attempt round."""
+        self.source.rewind(SLOT * (m - 1 - stop))
+        for stream, mark, attempts, used in reads:
+            k = int(np.searchsorted(attempts, stop, side="right"))
+            read = int(used[k - 1]) if k else 0
+            stream.rewind(stream.draws_issued - mark - read)
 
     @property
     def empirical_rate(self) -> Optional[float]:
         return self.accepted / self.attempts if self.attempts else None
+
+
+def _evaluate_each(evaluate):
+    """Array evaluation that calls evaluate on each point in order."""
+
+    def evaluate_array(points):
+        return np.array([evaluate(p) for p in zip(*points.T.tolist())], float)
+
+    return evaluate_array
+
+
+class _SlotReader:
+    """The source a block's sample_uniform reads on the adapter: its
+    attempt's slot units, then its block's overflow stream."""
+
+    def __init__(self, overflow):
+        self.overflow = overflow
+        self.slot = iter(())
+        self.overflow_units = 0
+
+    def next_unit(self) -> float:
+        u = next(self.slot, None)
+        if u is None:
+            self.overflow_units += 1
+            return self.overflow.next_unit()
+        return u
+
+
+def _adapter(sample_uniform):
+    """Kernel sample of a block without one: sample_uniform on each attempt."""
+
+    def sample(params, units, overflow):
+        reader = _SlotReader(overflow)
+        points, heights, used = [], [], []
+        for slot in units.tolist():
+            reader.slot = iter(slot)
+            point, y = sample_uniform(reader)
+            points.append(point)
+            heights.append(y)
+            used.append(reader.overflow_units)
+        return np.array(points, float).T, heights, used
+
+    return sample

@@ -138,8 +138,8 @@ SUPERLEVEL_BOX = ((-2.0, 3.5), (-2.0, 3.5))
 
 def gauss_mixture_xy(x1, x2):
     """Mixture density on numpy arrays or Python floats. A Python float x1
-    takes math.exp: the superlevel block's proposals and contains pass
-    floats, and np.exp costs over twice as much on one."""
+    takes math.exp: the superlevel block's scalar proposals and contains
+    pass floats, and np.exp costs over twice as much on one."""
     exp = math.exp if type(x1) is float else np.exp
     return MIX_COEFF * (
         exp(-x1 * x1 - x2 * x2)
@@ -194,11 +194,17 @@ def gauss_mixture_density() -> Density:
             return 0.0
         return gauss_mixture_xy(x1, x2)
 
+    def evaluate_array(points):
+        x1, x2 = points.T
+        inside = (x1_lo <= x1) & (x1 <= x1_hi) & (x2_lo <= x2) & (x2 <= x2_hi)
+        return np.where(inside, gauss_mixture_xy(x1, x2), 0.0)
+
     return Density(
         dim=2,
         evaluate=evaluate,
         domain_bounds=MIX_DOMAIN,
         K=float(_gauss_mixture_masses(1)[1][0, 0]),
+        evaluate_array=evaluate_array,
     )
 
 
@@ -223,11 +229,12 @@ def gauss_mixture_blockset() -> BlockSet:
 HALF_NORMAL_PEAK = math.sqrt(2.0 / math.pi)
 
 
-def half_normal_pdf(x: float) -> float:
-    """sqrt(2 / pi) exp(-x^2 / 2) for x >= 0, zero below."""
-    if x < 0.0:
-        return 0.0
-    return HALF_NORMAL_PEAK * math.exp(-0.5 * x * x)
+def half_normal_pdf(x):
+    """sqrt(2 / pi) exp(-x^2 / 2) for x >= 0, zero below, on a Python float
+    or a numpy array. A float takes math.exp, an array np.exp: the array
+    form feeds only the sampler's accept test."""
+    exp = math.exp if type(x) is float else np.exp
+    return HALF_NORMAL_PEAK * exp(-0.5 * x * x) * (x >= 0.0)
 
 
 def half_normal_cdf(x: float) -> float:
@@ -269,6 +276,7 @@ def half_normal_density() -> Density:
         evaluate=lambda p: half_normal_pdf(p[0]),
         domain_bounds=((0.0, math.inf),),
         K=1.0,
+        evaluate_array=lambda points: half_normal_pdf(points[:, 0]),
     )
 
 

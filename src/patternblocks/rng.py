@@ -5,6 +5,15 @@ mod 2**64. numpy promises that a fixed seed always gives the same stream of
 raw 64-bit words, so every double handed out is a pure function of the
 seed. Cryptographic strength is explicitly not a goal; the generator only
 has to feed rejection samplers with well-equidistributed uniforms.
+
+A source hands out its main stream one unit at a time (next_unit) or as
+arrays (units), and can step back over units it handed out (rewind).
+PatternBlockSampler reads the main stream in fixed slots of SLOT units per
+attempt, and gives block i an overflow stream of its own, PCG64(seed)
+jumped i + 1 times, for the units a block sample needs beyond its slot.
+Because every attempt's units sit at a fixed place, a batch of attempts
+can be drawn ahead and the streams rewound to just after the last attempt
+used (the idea behind counter-based generators; Salmon et al. 2011).
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from operator import index, length_hint
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-HAND_OUT = 4096  # words drawn and turned into Python floats at a time
+HAND_OUT = 4096  # words next_unit draws and turns into Python floats at a time
+SLOT = 4  # main-stream units per sampling attempt: selection, then 3 for the block
 
 
 class UniformSource:
@@ -23,17 +33,19 @@ class UniformSource:
     Unit conversion takes the top 53 bits of each 64-bit word scaled by
     2**-53, so 1.0 is never produced. The instance is mutable
     single-threaded state: give each sampler its own source, never share
-    one across threads. No word is drawn before the first next_unit call.
+    one across threads. No word is drawn before the first draw.
     """
 
     def __init__(self, seed: int):
-        self._bits = np.random.PCG64(index(seed) & _MASK64)
+        self._seed = index(seed) & _MASK64
+        self._bits = np.random.PCG64(self._seed)
         self._chunk = iter(())
         self._chunk_end = 0  # stream position just past the current chunk
+        self._overflow = {}
 
     @property
     def draws_issued(self) -> int:
-        """Number of next_unit calls so far."""
+        """Units handed out so far, less those rewound."""
         return self._chunk_end - length_hint(self._chunk)
 
     def next_unit(self) -> float:
@@ -45,3 +57,35 @@ class UniformSource:
             self._chunk = iter(((words >> 11) * 2.0**-53).tolist())
             self._chunk_end += HAND_OUT
             return next(self._chunk)
+
+    def units(self, k: int) -> np.ndarray:
+        """The next k units as a float64 array, the values k next_unit
+        calls would give."""
+        self._drop_chunk()
+        self._chunk_end += k
+        return (self._bits.random_raw(k) >> 11) * 2.0**-53
+
+    def rewind(self, k: int) -> None:
+        """Step back k units: the next k draws repeat the last k."""
+        self._drop_chunk()
+        if not 0 <= k <= self._chunk_end:
+            raise ValueError(f"cannot rewind {k} of {self._chunk_end} units")
+        self._bits.advance(-k)
+        self._chunk_end -= k
+
+    def overflow(self, i: int) -> UniformSource:
+        """Block i's overflow stream, PCG64(seed) jumped i + 1 times; made
+        on first use and kept, so its position carries over between calls."""
+        stream = self._overflow.get(i)
+        if stream is None:
+            stream = self._overflow[i] = UniformSource(self._seed)
+            stream._bits = stream._bits.jumped(i + 1)
+        return stream
+
+    def _drop_chunk(self):
+        # step the generator back over the unread rest of next_unit's hand-out
+        unread = length_hint(self._chunk)
+        if unread:
+            self._bits.advance(-unread)
+            self._chunk = iter(())
+            self._chunk_end -= unread

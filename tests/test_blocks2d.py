@@ -6,7 +6,7 @@ from scipy.stats import chi2
 
 from patternblocks import blocks2d
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
-from patternblocks.core import RejectionCapError
+from patternblocks.core import BlockSet, Density, PatternBlockSampler, RejectionCapError
 from patternblocks.distributions import (
     B0,
     B1,
@@ -203,3 +203,9 @@ def test_superlevel_inner_cap_fires(monkeypatch):
     monkeypatch.setattr(blocks2d, "INNER_CAP", 20)
     with pytest.raises(RejectionCapError):
         block.sample_uniform(UniformSource(19))
+    density = Density(
+        dim=2, evaluate=lambda p: 1.0, domain_bounds=((0.0, 1.0), (0.0, 1.0)), K=1e-3
+    )
+    sampler = PatternBlockSampler(density, BlockSet([block]), UniformSource(19))
+    with pytest.raises(RejectionCapError, match="exhausted 20 proposals"):
+        sampler.sample_many(5)

@@ -70,24 +70,26 @@ def test_sample_output_is_byte_stable(tmp_path, capsys):
 
 # SHA-256 of the CLI's output bytes, generated with Python 3.11 and numpy 2.4
 # on x86-64 Linux, so any change to a sample stream or to the layer table
-# fails here on purpose. The sample digests come from the PCG64 stream of
-# rng.UniformSource; the layer table draws no uniforms and its digest dates
-# from commit 8920e10 (before the target registry).
+# fails here on purpose. The sample digests come from the PCG64 streams of
+# rng.UniformSource, read in the sampler's slot layout (SLOT main-stream
+# units per attempt, plus each block's overflow stream); the layer table
+# draws no uniforms and its digest dates from commit 8920e10 (before the
+# target registry).
 GOLDEN_SAMPLE_SHA256 = {
-    ("arcsine-mod", 2000): "0b7b29d647e325a3f8bfa3ac728b14a1a26ba159691767a02984043cf860aa33",
-    ("half-normal-zigg", 2000): "1b707eddc6bbabfbcb087f2f213acd7db7942a472513878dc4caffe3e36efda2",
-    ("gauss-mix-2d", 1000): "8fcaf8e8be7e8fbcc68426923a074b066117ce2f0ed81c3c8316df49b665770b",
+    ("arcsine-mod", 2000): "d8556368311027a1ade5bfdfa1b30b4368a842ad290e709651a23fc66f78ad27",
+    ("half-normal-zigg", 2000): "16d3a219e2ab6a980e38c2700543a269e6a3f84d4ffd3d6844507ad024307514",
+    ("gauss-mix-2d", 1000): "45eb59f05c1ba51172cba3dd1c56e7e699d95c75b446b244d67493af6dbf016b",
 }
 GOLDEN_ZIGG_TABLE_128_SHA256 = "8303f61b1911a43735ba23e8993610607bb89aab804971f66d026bf3371b0440"
 
 
-# Longer runs, generated the same way. Their streams cross many 4096-word
-# hand-outs of rng.UniformSource (about 91k and 75k draws) and several
-# 4096-row output chunks; the JSON run pins that format.
+# Longer runs, generated the same way. Their streams cross many sampling
+# rounds (about 30k and 16k attempts) and several 4096-row output chunks;
+# the JSON run pins that format.
 GOLDEN_LONG_SAMPLE_SHA256 = {
-    ("half-normal-zigg", 30000, "csv"): "08d9f208f808b1ac3c06fd790c765386ed0b8a03a3ec8292ccb075d9c583d651",
-    ("gauss-mix-2d", 6000, "csv"): "8afce0a5f6cd032a0453a89ad4c90d20cc4916454c55488c6fac7fd4b9c4a80f",
-    ("arcsine-mod", 5000, "json"): "aa155917c680215e9b1ab62c48fa18d06bf26b556434cd3469864942930e85a6",
+    ("half-normal-zigg", 30000, "csv"): "1fba23b109a7e093306acf7042172778fdcefda6a502dcb87194838ac584ca7c",
+    ("gauss-mix-2d", 6000, "csv"): "4621ae082d9b544d6a504bdd2dea694466af6d9ee12744684657f771d8111257",
+    ("arcsine-mod", 5000, "json"): "9629ea188b229922ca58075c56b56582e0bf202d59fdaedcae1a4ac246618e32",
 }
 
 
@@ -126,7 +128,7 @@ GOLDEN_JSON_SHA256 = {
     ("zigg-table", "--layers", "128", "--format", "json"):
         "fbb6961fb5806e915b4af0641f74f2cf1144905318d6d9fb37da56db38cbfcef",
     ("sample", "--dist", "gauss-mix-2d", "--n", "1000", "--seed", "42", "--format", "json"):
-        "05e1a4644a636b296f59a5ebac120f67526b79b93bd7c2735d8d35e99db68971",
+        "27491df48cd5bea44710950732d153606e94505e19a03ac348db79281ff209ab",
 }
 
 
@@ -141,9 +143,9 @@ def test_json_output_matches_golden_digest(capsys, argv):
 # way, with gof.p_value removed: the p-value comes from scipy's chi2.sf and
 # is checked on its own, so a scipy release cannot move the digest.
 GOLDEN_VALIDATE_SHA256 = {
-    "arcsine-mod": "70425924e4726c473ad0bcd5a076e732649fce7d4c3e1d1adc7c1f5fceecf717",
-    "gauss-mix-2d": "4754dea3875edcb28b955f9c5113ec35a9ff65f89969e88b14180ad1224fa02b",
-    "half-normal-zigg": "ca2628bffd82982fa45e24a4a95dde811e42da7abbe369b1ec3a20728b8e45e4",
+    "arcsine-mod": "cdf82874c848afe7d5ec068baae5ca3fee165e5e10068458d6663d913fedecc1",
+    "gauss-mix-2d": "dd2356346b48f5bbfa7b7562bc6e9a33d1bdb0a22f65f3fa52189668ba06eadc",
+    "half-normal-zigg": "44a1fb9368fe637c270739602ea28b7e65781b5f60d0fe5afb1ce80ec77e391f",
 }
 
 

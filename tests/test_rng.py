@@ -100,3 +100,29 @@ def test_equidistribution_chi_square(million_draws):
     expected = len(million_draws) / 100
     statistic = ((counts - expected) ** 2 / expected).sum()
     assert chi2.sf(statistic, 99) > 0.001
+
+
+def test_units_rewind_and_next_unit_share_one_stream():
+    n = HAND_OUT + 100
+    expected = UniformSource(9).units(3 * n)
+    source = UniformSource(9)
+    first = [source.next_unit() for _ in range(n)]  # leaves part of a hand-out unread
+    block = source.units(n)
+    source.rewind(n + 5)
+    again = [source.next_unit() for _ in range(5)] + source.units(n).tolist()
+    assert first + block.tolist() == expected[: 2 * n].tolist()
+    assert again == expected[n - 5 : 2 * n].tolist()
+    assert source.draws_issued == 2 * n
+    with pytest.raises(ValueError):
+        source.rewind(2 * n + 1)
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
+def test_overflow_streams_are_jumped_from_the_seed(seed):
+    source = UniformSource(seed)
+    source.units(1000)  # the main stream's position does not matter
+    for i in (0, 4):
+        words = np.random.PCG64(seed & _MASK64).jumped(i + 1).random_raw(10)
+        stream = source.overflow(i)
+        assert stream is source.overflow(i)
+        assert stream.units(10).tolist() == ((words >> 11) * 2.0**-53).tolist()

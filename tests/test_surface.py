@@ -70,7 +70,7 @@ def test_library_knobs_are_pinned():
         f.name for f in dataclasses.fields(patternblocks.PatternBlock)
         if f.default is not dataclasses.MISSING
     }
-    assert defaulted == {"label", "height_band"}
+    assert defaulted == {"label", "height_band", "kernel"}
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +93,22 @@ def test_traced_build_spans_resolve(traced):
     [("half_normal_density", "zigg_blocks"), ("mixture_density", "mixture_blocks")],
 )
 def test_traced_copy_keeps_cover(traced, request, density_fixture, blocks_fixture):
+    # the copy's blocks and density have no kernel or array evaluation and
+    # its source overrides only next_unit, so it samples through the adapter
     density = request.getfixturevalue(density_fixture)
     blockset = request.getfixturevalue(blocks_fixture)
-    copy_density, copy_blocks = traced._traced_copy(density, blockset, traced.Tracer())
+    tracer = traced.Tracer()
+    copy_density, copy_blocks = traced._traced_copy(density, blockset, tracer)
     assert copy_density.K == density.K
     assert [(b.measure, b.label) for b in copy_blocks.blocks] == [
         (b.measure, b.label) for b in blockset.blocks
     ]
+    sampler = patternblocks.PatternBlockSampler(density, blockset, patternblocks.UniformSource(3))
+    points = sampler.sample_many(3000)
+    copy = patternblocks.PatternBlockSampler(
+        copy_density, copy_blocks, traced._traced_source(3, tracer)
+    )
+    assert copy.sample_many(3000) == points
+    # block samples beyond the last used attempt are the last round's overshoot
+    block_calls = sum(n for key, n in tracer.calls.items() if key.startswith("blocks"))
+    assert sampler.attempts <= block_calls <= 1.01 * sampler.attempts
