@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc  # chi2.sf's own routine, without scipy.stats' import
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
 
@@ -187,7 +187,7 @@ def chi_square_counts(counts, expected_probs) -> GofReport:
     obs_arr, exp_arr, bins_merged = pool_small_bins(observed, expected)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = len(exp_arr) - 1
-    return GofReport(statistic, dof, float(chi2.sf(statistic, dof)), bins_merged)
+    return GofReport(statistic, dof, float(chdtrc(dof, statistic)), bins_merged)
 
 
 def pool_small_bins(observed, expected):

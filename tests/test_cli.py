@@ -529,6 +529,22 @@ def test_closed_stdout_exits_141_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes about 1 s to import and the fit needs only
+    # scipy.special.chdtrc, so no command pays for it at start-up
+    root = Path(__file__).resolve().parents[1]
+    probe = "import sys, patternblocks.cli; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     ("argv", "to_stdout"),
