@@ -7,7 +7,7 @@ density, whose stacked rectangle layers plus composite base block
 reproduce the classical ziggurat sampler. Rectangles and strips carry
 array kernels, each written once for floats and arrays; the ziggurat base
 (one attempt in n_layers) runs its scalar sampler through the sampler's
-adapter.
+adapter. Every membership test is one formula for floats and arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def rect_block(
     width = x_hi - x_lo
     sample_point, footprint = formula_footprint(_interval_point, (x_lo, width), 1)
     return band_block(
-        width, sample_point, lambda point: x_lo <= point[0] <= x_hi,
+        width, sample_point, lambda point: (x_lo <= point[0]) & (point[0] <= x_hi),
         y_lo, y_hi, label or "rect", footprint,
     )
 
@@ -68,6 +68,9 @@ def envelope_block(
     envelope pdf may blow up at strip endpoints: those points are hit with
     probability zero, and an infinite height simply loses the later
     under-the-graph comparison. Draw order per sample: x, then the height.
+    envelope_pdf is called on floats and on numpy arrays (by the kernel and
+    contains), and must round alike on both; the cdf and its inverse are
+    called on floats only.
     """
     if not a_lo < a_hi:
         raise ValueError("need a_lo < a_hi")
@@ -84,16 +87,16 @@ def envelope_block(
 
     def contains(point, y):
         x = point[0]
-        return a_lo <= x <= a_hi and 0.0 <= y <= b * envelope_pdf(x)
+        return (a_lo <= x) & (x <= a_hi) & (0.0 <= y) & (y <= b * envelope_pdf(x))
 
     kernel = Kernel(_strip_sample(envelope_pdf, envelope_cdf_inv), (cdf_lo, span, b))
     return PatternBlock(measure, sample, contains, label or "envelope", kernel=kernel)
 
 
 def _strip_point(pdf, cdf_inv, cdf_lo, span, b, u, t):
-    # on arrays, pdf and cdf_inv run on each element, as on floats
+    # on arrays, cdf_inv runs on each element, as on floats; pdf takes arrays
     v = each(cdf_inv, cdf_lo + span * u)
-    return (v,), b * each(pdf, v) * t
+    return (v,), b * pdf(v) * t
 
 
 @functools.lru_cache(maxsize=64)
@@ -205,6 +208,7 @@ def ziggurat_base_block(layout: ZigguratLayout, f: Callable[[float], float]) -> 
     otherwise x comes from the exact tail sampler and the height is uniform
     on [0, f(x)]. Both parts lie under the graph except for the rectangle's
     spillover above f on [0, r], which the generic acceptance test handles.
+    contains calls f on numpy arrays as well as on floats.
     """
     r = layout.x[-1]
     f_r = layout.f_at_x[-1]
@@ -223,11 +227,8 @@ def ziggurat_base_block(layout: ZigguratLayout, f: Callable[[float], float]) -> 
 
     def contains(point, y):
         x = point[0]
-        if x < 0.0 or y < 0.0:
-            return False
-        if x <= r and y <= f_r:
-            return True
-        return x >= r and y <= f(x)
+        under = ((x <= r) & (y <= f_r)) | ((x >= r) & (y <= f(x)))
+        return (x >= 0.0) & (y >= 0.0) & under
 
     return PatternBlock(v, sample, contains, "base", height_band=(0.0, f_r))
 

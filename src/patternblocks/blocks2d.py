@@ -8,6 +8,7 @@ cylinders stand on disks sampled in polar coordinates via the closed-form
 radial inverse CDF r = d * sqrt(u). Each footprint formula is written once
 and serves the scalar sampler and the array kernel; the disk's cos and sin
 run element by element through math (core.each), so both round alike.
+Each membership test is likewise one formula for floats and arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> Pattern
 
     def in_footprint(point):
         x1, x2 = point
-        return x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi
+        return (x1_lo <= x1) & (x1 <= x1_hi) & (x2_lo <= x2) & (x2 <= x2_hi)
 
     return band_block(
         w1 * w2, sample_point, in_footprint, y_lo, y_hi, label or "slab", footprint
@@ -106,8 +107,9 @@ def superlevel_block(
     cell outside bounding_rect reaches the level, i.e. the box really
     contains the superlevel set. Both walk the grid in bounded bands
     (numeric.midpoint_bands) and call f_xy on numpy arrays, as the kernel
-    does on its proposals; the scalar sampler's proposals and contains call
-    it on Python floats. The band is checked before any grid work.
+    does on its proposals and contains does in validate_blockset; the
+    scalar sampler's proposals call it on Python floats. The band is
+    checked before any grid work.
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are

@@ -23,7 +23,6 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,13 +108,18 @@ class PatternBlock:
     sample_uniform consumes draws from a UniformSource and returns
     ((coords...), height) distributed uniformly over the region. contains is
     the region's membership test, through which validate_blockset probes
-    cover and overlap; every block must have one.
+    cover and overlap; every block must have one. It takes floats, or
+    arrays: point a tuple of one array per coordinate and y an array of
+    heights, for which it returns a bool array. One formula serves both
+    when it is written with &, | and np.where, not with and, or and
+    chained comparisons.
 
     height_band is a closed interval (lo, hi) holding every height the
     sampler returns and every height contains accepts. validate_blockset
-    probes a block for overlap only against blocks whose bands meet its
-    own, and fails when a sampled or accepted height falls outside the
-    declaring block's band. The unbounded default never prunes a probe.
+    asks a block only about the cover probes and overlap samples whose
+    heights its band holds, and fails when a sampled height falls outside
+    the declaring block's band, or the block accepts a height just outside
+    it. The unbounded default is asked about every probe.
 
     kernel is the block's optional array sampler (see Kernel); without one
     the sampler runs sample_uniform attempt by attempt.
@@ -194,7 +198,7 @@ def band_block(
         return sample_point(source), y
 
     def contains(point, y):
-        return y_lo <= y <= y_hi and in_footprint(point)
+        return (y_lo <= y) & (y <= y_hi) & in_footprint(point)
 
     kernel = Kernel(_band_sample(footprint.sample), (y_lo, band, *footprint.params))
     return PatternBlock(area * band, sample, contains, label, (y_lo, y_hi), kernel)
@@ -291,11 +295,14 @@ def validate_blockset(
       overlap     Monte Carlo: uniform samples of each block must not land
                   in any other block (pairwise intersections have measure
                   zero, so interior double-hits indicate real overlap).
+                  The samples are drawn as a sampling round draws them,
+                  in slots of the OVERLAP_SEED stream.
 
-    Cover and overlap ask the blocks' required membership tests, so every
-    check ends "pass" or "fail". probe_bounds replaces
-    density.domain_bounds for the cover grid and must be given when the
-    domain is unbounded.
+    Cover and overlap ask the blocks' required membership tests on numpy
+    arrays, once per block, so every check ends "pass" or "fail"; a
+    contains that cannot take arrays raises ValueError naming its block.
+    probe_bounds replaces density.domain_bounds for the cover grid and
+    must be given when the domain is unbounded.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be at least 1")
@@ -308,102 +315,128 @@ def validate_blockset(
         raise ValueError("cover probing needs finite probe_bounds for unbounded domains")
 
     cover = _cover_check(blockset, density, bounds, n_probe)
-    overlap = _overlap_check(blockset, n_probe)
+    overlap = _overlap_check(blockset, density.dim, n_probe)
     return ValidationReport(positivity, cover, overlap)
 
 
-def _probe_points(bounds, n_probe):
-    # cell midpoints of a grid with per_axis cells on each axis, first axis outermost
+def _probe_grid(bounds, n_probe):
+    # cell midpoints of a grid with per_axis cells on each axis, one array
+    # per axis, first axis outermost
     per_axis = n_probe if len(bounds) == 1 else math.isqrt(n_probe)
-    return product(*(
-        [lo + (k + 0.5) * ((hi - lo) / per_axis) for k in range(per_axis)]
-        for lo, hi in bounds
-    ))
+    k = np.arange(per_axis) + 0.5
+    axes = [lo + k * ((hi - lo) / per_axis) for lo, hi in bounds]
+    return [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
 
 
 def _cover_check(blockset, density, bounds, n_probe):
-    # Each rung remembers the block that last covered it and asks that
-    # block first: probes walk the grid in order, so a rung's height
-    # moves slowly and the hint nearly always hits. Whether some block
-    # covers a probe does not depend on the order the blocks are asked in.
+    # The probes are sorted by height, so each block is asked once, about
+    # the slice of probes its height band holds. f is taken point by point
+    # from evaluate: the rung heights are those of the scalar formula.
     blocks = blockset.blocks
-    tests = [b.contains for b in blocks]
-    evaluate = density.evaluate
+    grid = _probe_grid(bounds, n_probe)
+    fx = np.fromiter(
+        map(density.evaluate, zip(*(axis.tolist() for axis in grid))), float, len(grid[0])
+    )
+    probed = np.flatnonzero((fx > VALIDATE_TOLERANCE) & (fx < math.inf))
     top = HEIGHT_RUNGS - 1
-    hints = [0] * HEIGHT_RUNGS
-    violations = 0
-    missed = set()  # rungs with an uncovered probe
-    checked = 0
-    for point in _probe_points(bounds, n_probe):
-        fx = evaluate(point)
-        if not (fx > VALIDATE_TOLERANCE) or math.isinf(fx):
-            continue
-        for j in range(HEIGHT_RUNGS):
-            y = (fx - VALIDATE_TOLERANCE) * j / top
-            checked += 1
-            hit = hints[j]
-            if not tests[hit](point, y):
-                hit = next(
-                    (k for k, test in enumerate(tests) if k != hit and test(point, y)),
-                    None,
-                )
-                if hit is None:
-                    violations += 1
-                    missed.add(j)
-                    continue
-                hints[j] = hit
-            lo, hi = blocks[hit].height_band
-            if y < lo or y > hi:
+    y = ((fx[probed] - VALIDATE_TOLERANCE)[:, None] * np.arange(HEIGHT_RUNGS) / top).ravel()
+    # probe r is rung r % HEIGHT_RUNGS of grid point probed[r // HEIGHT_RUNGS];
+    # int32 indices and per-block coordinates keep validate's memory small
+    order = np.argsort(y, kind="stable").astype(np.int32)
+    y = y[order]
+    covered = np.zeros(len(y), bool)
+    for i, a, b in _band_slices(blocks, y):
+        lo, hi = blocks[i].height_band
+        sliced = tuple(axis[probed[order[a:b] // HEIGHT_RUNGS]] for axis in grid)
+        covered[a:b] |= _contains(blocks, i, sliced, y[a:b])
+        # the band contract: no height just outside the band over these points
+        for edge, away in ((lo, -math.inf), (hi, math.inf)):
+            if not math.isfinite(edge):
+                continue
+            outside = math.nextafter(edge, away)
+            if _contains(blocks, i, sliced, np.broadcast_to(outside, (b - a,))).any():
                 return CheckResult(
-                    "fail", f"{_block_name(blocks, hit)} contains height {y!r} "
+                    "fail", f"{_block_name(blocks, i)} contains height {outside!r} "
                     f"outside its height band [{lo!r}, {hi!r}]"
                 )
-    if violations == 0:
-        return CheckResult("pass", f"{checked} probes, 0 uncovered")
+    missed = order[~covered] % HEIGHT_RUNGS
+    if not missed.size:
+        return CheckResult("pass", f"{len(y)} probes, 0 uncovered")
     return CheckResult(
-        "fail", f"{violations} of {checked} probes uncovered, at heights "
-        f"[{min(missed) / top:.3g}, {max(missed) / top:.3g}] * f(x)"
+        "fail", f"{missed.size} of {len(y)} probes uncovered, at heights "
+        f"[{int(missed.min()) / top:.3g}, {int(missed.max()) / top:.3g}] * f(x)"
     )
 
 
-def _overlap_check(blockset, n_probe):
-    # A block can only contain heights inside its band, so each block is
-    # probed only against the blocks whose bands meet its own.
+def _overlap_check(blockset, dim, n_probe):
+    # The probe samples every block as a sampling round does: attempt k
+    # reads a slot of SLOT main-stream units, then its block's overflow
+    # stream, through its kind's kernel or the adapter. The samples are
+    # then sorted by height, and each block is asked once, about the
+    # samples its height band holds: it contains no height outside it.
     blocks = blockset.blocks
     if len(blocks) == 1:
         return CheckResult("pass", "single block")
-    bands = [b.height_band for b in blocks]
-    source = UniformSource(OVERLAP_SEED)
     per_block = max(100, n_probe // len(blocks))
-    total = blockset.total_measure
-    hits = 0
+    owner = np.repeat(np.arange(len(blocks)), per_block)
+    source = UniformSource(OVERLAP_SEED)
+    units = source.units(SLOT * len(owner)).reshape(len(owner), SLOT)
+    points, y, _ = _Kinds(blocks, dim).sample(owner, units, source)
+    bands = np.array([b.height_band for b in blocks]).T[:, owner]
+    outside = np.flatnonzero(~((bands[0] <= y) & (y <= bands[1])))
+    if outside.size:
+        k = outside[0]
+        i = int(owner[k])
+        lo, hi = blocks[i].height_band
+        return CheckResult(
+            "fail", f"{_block_name(blocks, i)} sampled height {float(y[k])!r} "
+            f"outside its height band [{lo!r}, {hi!r}]"
+        )
+    order = np.argsort(y, kind="stable")
+    y = y[order]
+    point = tuple(points[order].T)
+    owner = owner[order]
+    counts = np.zeros(len(blocks), np.int64)
+    for j, a, b in _band_slices(blocks, y):
+        hit = _contains(blocks, j, tuple(axis[a:b] for axis in point), y[a:b])
+        others = owner[a:b]
+        counts += np.bincount(others[hit & (others != j)], minlength=len(blocks))
     weighted = 0.0
-    for i, block in enumerate(blocks):
-        lo, hi = bands[i]
-        others = [
-            b.contains for j, b in enumerate(blocks)
-            if j != i and bands[j][0] <= hi and lo <= bands[j][1]
-        ]
-        block_hits = 0
-        for _ in range(per_block):
-            point, y = block.sample_uniform(source)
-            if y < lo or y > hi:
-                return CheckResult(
-                    "fail", f"{_block_name(blocks, i)} sampled height {y!r} "
-                    f"outside its height band [{lo!r}, {hi!r}]"
-                )
-            for contains in others:
-                if contains(point, y):
-                    block_hits += 1
-        hits += block_hits
+    for block, block_hits in zip(blocks, counts.tolist()):
         # ordered-pair estimate of nu(B_i n B_j); halved below for i < j sums
         weighted += block.measure * block_hits / per_block
-    estimate = weighted / (2.0 * total)
+    estimate = weighted / (2.0 * blockset.total_measure)
+    hits = int(counts.sum())
     if estimate <= VALIDATE_TOLERANCE:
         return CheckResult("pass", f"{per_block} probes/block, {hits} double-hits")
     return CheckResult(
         "fail", f"{hits} double-hits, overlap fraction estimate {estimate:.3e}"
     )
+
+
+def _band_slices(blocks, y):
+    """(i, a, b) for each block i whose height band holds the sorted
+    heights y[a:b], a < b."""
+    lo, hi = np.array([b.height_band for b in blocks]).T
+    starts = np.searchsorted(y, lo, side="left").tolist()
+    ends = np.searchsorted(y, hi, side="right").tolist()
+    return [(i, a, b) for i, (a, b) in enumerate(zip(starts, ends)) if a < b]
+
+
+def _contains(blocks, i, point, y):
+    """blocks[i].contains on probe arrays: a bool array shaped as y."""
+    try:
+        inside = np.asarray(blocks[i].contains(point, y), bool)
+    except (TypeError, ValueError) as error:
+        raise ValueError(
+            f"{_block_name(blocks, i)}: contains must take numpy arrays ({error})"
+        ) from error
+    if inside.shape not in ((), y.shape):
+        raise ValueError(
+            f"{_block_name(blocks, i)}: contains returned shape {inside.shape} "
+            f"for {y.shape[0]} probes"
+        )
+    return np.broadcast_to(inside, y.shape)
 
 
 def _block_name(blocks, i):
@@ -439,21 +472,7 @@ class PatternBlockSampler:
         self._rate = min(1.0, exact_adoption_rate(density, blockset))
         self._evaluate = density.evaluate_array or _evaluate_each(density.evaluate)
         self._cumulative = np.array(blockset.cumulative)
-        # blocks of one kind share a kernel; kind_of and row_of map a block
-        # to its kind and to its row of the kind's params
-        kernels = [b.kernel or Kernel(_adapter(b.sample_uniform)) for b in blockset.blocks]
-        members = {}
-        for i, kernel in enumerate(kernels):
-            members.setdefault(kernel.sample, []).append(i)
-        self._kinds = []
-        self._kind_of = np.empty(len(kernels), np.intp)
-        self._row_of = np.empty(len(kernels), np.intp)
-        for k, (sample, ids) in enumerate(members.items()):
-            self._kind_of[ids] = k
-            self._row_of[ids] = range(len(ids))
-            params = np.array([kernels[i].params for i in ids], float)
-            params = params.reshape(len(ids), len(kernels[ids[0]].params))
-            self._kinds.append((sample, params, ids[0] if len(ids) == 1 else None))
+        self._kinds = _Kinds(blockset.blocks, density.dim)
 
     def sample_one(self) -> Point:
         return self.sample_many(1)[0]
@@ -514,18 +533,61 @@ class PatternBlockSampler:
         return list(zip(*np.concatenate(kept).T.tolist()))
 
     def _round(self, m: int):
-        """Points (m, dim) and heights (m,) of the next m attempts, and for
-        each kind that read its overflow stream: (stream, its position
-        before the round, the kind's attempts, overflow units used)."""
-        source = self.source
-        units = source.units(SLOT * m).reshape(m, SLOT)
+        """Points, heights and overflow reads (see _Kinds.sample) of the
+        next m attempts."""
+        units = self.source.units(SLOT * m).reshape(m, SLOT)
         blocks = select_blocks(self._cumulative, units[:, 0])
-        kinds = self._kind_of[blocks]
-        rows = self._row_of[blocks]
-        points = np.empty((m, self.density.dim))
-        heights = np.empty(m)
+        return self._kinds.sample(blocks, units, self.source)
+
+    def _rewind(self, m: int, stop: int, reads):
+        """Rewind every stream to just after attempt stop of an m-attempt round."""
+        self.source.rewind(SLOT * (m - 1 - stop))
+        for stream, mark, attempts, used in reads:
+            k = int(np.searchsorted(attempts, stop, side="right"))
+            read = int(used[k - 1]) if k else 0
+            stream.rewind(stream.draws_issued - mark - read)
+
+    @property
+    def empirical_rate(self) -> Optional[float]:
+        return self.accepted / self.attempts if self.attempts else None
+
+
+class _Kinds:
+    """A block set's blocks grouped into kinds, and the one kernel call per
+    kind that samples a batch of attempts. A block without a kernel is a
+    kind of its own on the adapter. The sampler's rounds and
+    validate_blockset's overlap probe both sample through it."""
+
+    def __init__(self, blocks: Sequence[PatternBlock], dim: int):
+        # blocks of one kind share a kernel; kind_of and row_of map a block
+        # to its kind and to its row of the kind's params
+        kernels = [b.kernel or Kernel(_adapter(b.sample_uniform)) for b in blocks]
+        members = {}
+        for i, kernel in enumerate(kernels):
+            members.setdefault(kernel.sample, []).append(i)
+        self.dim = dim
+        self.kinds = []
+        self.kind_of = np.empty(len(kernels), np.intp)
+        self.row_of = np.empty(len(kernels), np.intp)
+        for k, (sample, ids) in enumerate(members.items()):
+            self.kind_of[ids] = k
+            self.row_of[ids] = range(len(ids))
+            params = np.array([kernels[i].params for i in ids], float)
+            params = params.reshape(len(ids), len(kernels[ids[0]].params))
+            self.kinds.append((sample, params, ids[0] if len(ids) == 1 else None))
+
+    def sample(self, blocks: np.ndarray, units: np.ndarray, source: UniformSource):
+        """Points (m, dim) and heights (m,) of m attempts, attempt k a
+        sample of block blocks[k] on its slot units[k] (SLOT units, the
+        first the selection unit), and for each kind that read its
+        overflow stream: (stream, its position before the call, the kind's
+        attempts, overflow units used)."""
+        kinds = self.kind_of[blocks]
+        rows = self.row_of[blocks]
+        points = np.empty((len(blocks), self.dim))
+        heights = np.empty(len(blocks))
         reads = []
-        for kind, (sample, params, block) in enumerate(self._kinds):
+        for kind, (sample, params, block) in enumerate(self.kinds):
             attempts = np.flatnonzero(kinds == kind)
             if not attempts.size:
                 continue
@@ -539,18 +601,6 @@ class PatternBlockSampler:
             if used is not None:
                 reads.append((stream, mark, attempts, used))
         return points, heights, reads
-
-    def _rewind(self, m: int, stop: int, reads):
-        """Rewind every stream to just after attempt stop of an m-attempt round."""
-        self.source.rewind(SLOT * (m - 1 - stop))
-        for stream, mark, attempts, used in reads:
-            k = int(np.searchsorted(attempts, stop, side="right"))
-            read = int(used[k - 1]) if k else 0
-            stream.rewind(stream.draws_issued - mark - read)
-
-    @property
-    def empirical_rate(self) -> Optional[float]:
-        return self.accepted / self.attempts if self.attempts else None
 
 
 def _evaluate_each(evaluate):

@@ -35,12 +35,16 @@ ARCSINE_STRIPS = 8
 ARCSINE_MASS_TOL = 1e-10  # absolute quadrature tolerance of arcsine_modulated_mass
 
 
-def arcsine_pdf(x: float) -> float:
-    """Beta(1/2, 1/2) density 1 / (pi sqrt(x (1 - x))); +inf at 0 and 1."""
+def arcsine_pdf(x):
+    """Beta(1/2, 1/2) density 1 / (pi sqrt(x (1 - x))); +inf at 0 and 1 and
+    outside [0, 1]. On a Python float or a numpy array: sqrt, products and
+    quotients are correctly rounded in math and numpy alike, so both give
+    the same bits."""
     t = x * (1.0 - x)
-    if t <= 0.0:
-        return math.inf
-    return 1.0 / (math.pi * math.sqrt(t))
+    if isinstance(t, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t > 0.0, 1.0 / (math.pi * np.sqrt(t)), math.inf)
+    return 1.0 / (math.pi * math.sqrt(t)) if t > 0.0 else math.inf
 
 
 def arcsine_cdf(x: float) -> float:
@@ -138,8 +142,8 @@ SUPERLEVEL_BOX = ((-2.0, 3.5), (-2.0, 3.5))
 
 def gauss_mixture_xy(x1, x2):
     """Mixture density on numpy arrays or Python floats. A Python float x1
-    takes math.exp: the superlevel block's scalar proposals and contains
-    pass floats, and np.exp costs over twice as much on one."""
+    takes math.exp: the superlevel block's scalar proposals pass floats,
+    and np.exp costs over twice as much on one."""
     exp = math.exp if type(x1) is float else np.exp
     return MIX_COEFF * (
         exp(-x1 * x1 - x2 * x2)

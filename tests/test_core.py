@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from patternblocks.distributions import (
     arcsine_pdf,
     arcsine_strip_scale,
 )
-from patternblocks.rng import UniformSource
+from patternblocks.rng import SLOT, UniformSource
 
 
 def _uniform_density():
@@ -322,9 +324,10 @@ def test_validate_needs_finite_probe_bounds(half_normal_density, zigg_blocks):
 # ---------------------------------------------------------------------------
 # validation against a brute-force reference
 #
-# validate_blockset asks a remembered block first in the cover scan and
-# probes only band-meeting blocks for overlap. The reference below asks
-# every block for every probe, so the two must report the same results.
+# validate_blockset asks each block, on arrays, only about the cover probes
+# and overlap samples its height band holds. The reference below asks
+# every block, on floats, about every probe, so the two must report the
+# same results.
 
 
 def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, rungs=8):
@@ -363,7 +366,17 @@ def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, rungs=
     )
 
 
+class _Units:
+    """A source that hands out the given units in order."""
+
+    def __init__(self, units):
+        self.next_unit = units.__next__
+
+
 def _reference_overlap(blockset, n_probe, tolerance=1e-12, seed=0):
+    # the probe points of a sampling round: attempt k reads a slot of SLOT
+    # main-stream units, skips the selection unit, then reads its block's
+    # overflow stream; attempts run block by block
     blocks = blockset.blocks
     if len(blocks) == 1:
         return CheckResult("pass", "single block")
@@ -372,9 +385,12 @@ def _reference_overlap(blockset, n_probe, tolerance=1e-12, seed=0):
     hits = 0
     weighted = 0.0
     for i, block in enumerate(blocks):
+        overflow = source.overflow(i)
         block_hits = 0
         for _ in range(per_block):
-            point, y = block.sample_uniform(source)
+            slot = [source.next_unit() for _ in range(SLOT)]
+            units = itertools.chain(slot[1:], iter(overflow.next_unit, None))
+            point, y = block.sample_uniform(_Units(units))
             block_hits += sum(
                 other.contains(point, y) for j, other in enumerate(blocks) if j != i
             )
@@ -463,14 +479,40 @@ def test_validate_matches_reference_on_broken_covers(
     assert truncated.cover.status == "fail"
 
 
+@st.composite
+def _rect_covers(draw):
+    # a tiling of the unit square by columns of stacked bands, with some
+    # block edges moved by 1/8: into gaps, side overlaps or band overlaps
+    cuts = st.sets(st.sampled_from([0.25, 0.5, 0.75]), max_size=2)
+    xs = [0.0, *sorted(draw(cuts)), 1.0]
+    blocks = []
+    for x_lo, x_hi in zip(xs, xs[1:]):
+        ys = [0.0, *sorted(draw(cuts)), 1.0]
+        blocks += [[x_lo, x_hi, y_lo, y_hi] for y_lo, y_hi in zip(ys, ys[1:])]
+    for edges in blocks:
+        side = draw(st.integers(0, 9))
+        if side < 4:
+            edges[side] += draw(st.sampled_from([-0.125, 0.125]))
+        edges[2] = max(0.0, edges[2])
+    return BlockSet([rect_block(*edges) for edges in blocks])
+
+
+@given(_rect_covers())
+@settings(max_examples=40, deadline=None)
+def test_validate_matches_reference_on_random_rect_covers(blockset):
+    _assert_matches_reference(blockset, _uniform_density(), 400)
+
+
 def test_validate_contains_budget(half_normal_density, zigg_blocks):
-    # brute force asks every block for every probe: 18,769,394 calls here
-    calls = 0
+    # brute force asks every block for every probe: 18,769,394 calls here,
+    # each about one probe
+    calls = probes = 0
 
     def counted(contains):
         def wrapper(point, y):
-            nonlocal calls
+            nonlocal calls, probes
             calls += 1
+            probes += np.size(y)
             return contains(point, y)
 
         return wrapper
@@ -483,6 +525,17 @@ def test_validate_contains_budget(half_normal_density, zigg_blocks):
     )
     assert report.all_passed()
     assert calls <= 300_000
+    assert probes <= 1_000_000
+
+
+def test_validate_names_a_contains_that_cannot_take_arrays():
+    scalar_only = PatternBlock(
+        1.0, lambda s: ((s.next_unit(),), s.next_unit()), lambda p, y: 0 <= y <= 1,
+        label="scalar",
+    )
+    blockset = BlockSet([rect_block(0.0, 1.0, 0.0, 0.5), scalar_only])
+    with pytest.raises(ValueError, match=r"^block 1 \('scalar'\): contains must take numpy arrays"):
+        validate_blockset(blockset, _uniform_density(), n_probe=1000)
 
 
 def _flat(x1, x2):

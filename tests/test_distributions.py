@@ -98,6 +98,20 @@ def test_arcsine_pdf_singularities():
     assert arcsine_modulated_pdf(0.3) > 0.0
 
 
+def test_arcsine_pdf_on_arrays_matches_floats_bit_for_bit():
+    x = np.concatenate([
+        np.linspace(-0.5, 1.5, 4001),
+        [0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, -0.0, -1e-300, 1.0 + 2.0**-52],
+        np.random.default_rng(4).random(20_000),
+    ])
+    scalar = np.array([arcsine_pdf(v) for v in x.tolist()])
+    array = arcsine_pdf(x)
+    assert isinstance(arcsine_pdf(0.3), float)
+    assert array.dtype == np.float64
+    assert array.tobytes() == scalar.tobytes()
+    assert np.isinf(array[(x <= 0.0) | (x >= 1.0)]).all()
+
+
 def test_modulated_mass_is_normalized():
     assert abs(arcsine_modulated_mass(0.0, 1.0) - 1.0) < 1e-8
 
