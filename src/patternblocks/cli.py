@@ -4,7 +4,9 @@ Subcommands: sample (CSV/JSON samples plus a JSON summary on stderr),
 validate (block-set checks plus a chi-square fit on the target's fixed
 bins, JSON report), bench (throughput and adoption rates), zigg-table
 (equal-area layer table). Only zigg-table takes --layers. Each command
-checks its arguments and opens --out before it builds anything.
+checks its arguments and opens --out before it builds anything. sample
+and zigg-table write every float exactly as Python's repr, through
+output.write_rows, which formats a chunk of rows at a time in numpy.
 Exit codes: 0 success, 1 failed check, 2 usage error or output that cannot
 be opened or written, 3 numerical failure, 141 stdout closed by its reader.
 """
@@ -30,6 +32,7 @@ from .core import (
     exact_adoption_rate,
     validate_blockset,
 )
+from .output import write_rows
 from .rng import UniformSource
 
 SAMPLE_CHUNK = 4096  # rows `sample` draws and writes at a time
@@ -42,10 +45,10 @@ def _sampler(args, density):
 
 
 def _chunks(sampler, n):
-    """n points from sampler, drawn SAMPLE_CHUNK at a time, so a caller
-    that keeps no chunk runs in memory bounded for any n."""
+    """n points from sampler as (m, dim) arrays of at most SAMPLE_CHUNK
+    rows, so a caller that keeps no chunk runs in memory bounded for any n."""
     for start in range(0, n, SAMPLE_CHUNK):
-        yield sampler.sample_many(min(SAMPLE_CHUNK, n - start))
+        yield sampler.sample_array(min(SAMPLE_CHUNK, n - start))
 
 
 class UsageError(Exception):
@@ -67,32 +70,12 @@ def _open_out(path):
         yield out
 
 
-def _write_rows(out, chunks, names, fmt):
-    """Write the rows of each chunk, one field per name, as CSV rows or as
-    the objects of one JSON array (json.dump's separators). Only one chunk
-    is held at a time, so memory stays bounded for any row count. Fields
-    are written as str: for ints and finite floats (their repr) that is
-    what json.dump writes too."""
-    if fmt == "csv":
-        head, sep, tail = ",".join(names) + "\n", "", ""
-        row = ",".join(["{}"] * len(names)) + "\n"
-    else:
-        head, sep, tail = "[", ", ", "]\n"
-        row = "{{" + ", ".join(f'"{name}": {{}}' for name in names) + "}}"
-    out.write(head)
-    lead = ""
-    for rows in chunks:
-        out.write(lead + sep.join([row.format(*r) for r in rows]))
-        lead = sep
-    out.write(tail)
-
-
 def cmd_sample(args) -> int:
     with _open_out(args.out) as out:
         density = distributions.TARGETS[args.dist].density()
         blockset, sampler = _sampler(args, density)
         names = ["x"] if density.dim == 1 else ["x1", "x2"]
-        _write_rows(out, _chunks(sampler, args.n), names, args.format)
+        write_rows(out, (points.T for points in _chunks(sampler, args.n)), names, args.format)
     summary = {
         "attempts": sampler.attempts,
         "accepted": sampler.accepted,
@@ -172,8 +155,8 @@ def cmd_zigg_table(args) -> int:
         # the cover's blocks: layers 1 .. n-1, then the base, which is row 0
         blocks = ziggurat_blockset(layout, distributions.half_normal_pdf).blocks
         areas = [blocks[-1].measure] + [b.measure for b in blocks[:-1]]
-        rows = zip(range(layout.n_layers), layout.x, layout.f_at_x, areas)
-        _write_rows(out, [rows], ["i", "x", "f", "area"], args.format)
+        columns = [np.arange(layout.n_layers), layout.x, layout.f_at_x, areas]
+        write_rows(out, [columns], ["i", "x", "f", "area"], args.format)
     return 0
 
 

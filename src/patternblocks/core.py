@@ -31,7 +31,7 @@ from .rng import SLOT, UniformSource
 
 Point = tuple[float, ...]
 
-REJECTION_CAP = 1_000_000  # consecutive rejections that end a sample_many call
+REJECTION_CAP = 1_000_000  # consecutive rejections that end a sample_array call
 ROUND = 4096  # most attempts one sampling round draws
 
 VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap fraction
@@ -478,8 +478,12 @@ class PatternBlockSampler:
         return self.sample_many(1)[0]
 
     def sample_many(self, n: int) -> list[Point]:
-        """n accepted points; the counters stay exact when an error stops
-        the batch part way."""
+        """n accepted points as tuples of floats: sample_array's rows."""
+        return list(zip(*self.sample_array(n).T.tolist()))
+
+    def sample_array(self, n: int) -> np.ndarray:
+        """n accepted points as an (n, dim) float64 array; the counters
+        stay exact when an error stops the batch part way."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         cap = REJECTION_CAP
@@ -529,8 +533,8 @@ class PatternBlockSampler:
             self.attempts += attempts
             self.accepted += accepted
         if not kept:
-            return []
-        return list(zip(*np.concatenate(kept).T.tolist()))
+            return np.empty((0, self.density.dim))
+        return np.concatenate(kept)
 
     def _round(self, m: int):
         """Points, heights and overflow reads (see _Kinds.sample) of the

@@ -85,9 +85,11 @@ GOLDEN_ZIGG_TABLE_128_SHA256 = "8303f61b1911a43735ba23e8993610607bb89aab804971f6
 
 # Longer runs, generated the same way. Their streams cross many sampling
 # rounds (about 30k and 16k attempts) and several 4096-row output chunks;
-# the JSON run pins that format.
+# the JSON runs pin that format. The zigg JSON digest dates from commit
+# 7ec4c8d, the last with a per-row str.format writer.
 GOLDEN_LONG_SAMPLE_SHA256 = {
     ("half-normal-zigg", 30000, "csv"): "1fba23b109a7e093306acf7042172778fdcefda6a502dcb87194838ac584ca7c",
+    ("half-normal-zigg", 30000, "json"): "c0c5205773348dad726091eee4a58203aa0d9711a179db2fd8a65a6cb4d6006f",
     ("gauss-mix-2d", 6000, "csv"): "4621ae082d9b544d6a504bdd2dea694466af6d9ee12744684657f771d8111257",
     ("arcsine-mod", 5000, "json"): "9629ea188b229922ca58075c56b56582e0bf202d59fdaedcae1a4ac246618e32",
 }
@@ -113,6 +115,16 @@ def test_long_sample_matches_golden_digest(tmp_path, capsys, dist, n, fmt):
     assert code == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_LONG_SAMPLE_SHA256[dist, n, fmt]
+
+
+# `sample --n 0` writes the header alone, as it did at commit 7ec4c8d
+@pytest.mark.parametrize("dist", sorted(distributions.TARGETS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_header_only_sample_output(capsys, dist, fmt):
+    code, out, _ = run_cli(capsys, "sample", "--dist", dist, "--n", "0", "--format", fmt)
+    assert code == 0
+    header = "x1,x2\n" if dist == "gauss-mix-2d" else "x\n"
+    assert out == (header if fmt == "csv" else "[]\n")
 
 
 def test_zigg_table_matches_golden_digest(capsys):
@@ -434,15 +446,19 @@ def test_cli_options_are_pinned():
         assert flags == options, command
 
 
-@pytest.mark.parametrize("command", ["bench", "validate"])
-def test_bench_and_validate_memory_is_bounded(command, capsys):
-    # both draw in chunks and keep no point; holding all 200k points peaks
-    # at about 17 MB (bench) and 24 MB (validate). The first run builds the
-    # generator's once-per-process jump tables outside the trace.
-    main([command, "--dist", "half-normal-zigg", "--n", "1000", "--seed", "1"])
+@pytest.mark.parametrize("command", ["bench", "validate", "sample-csv", "sample-json"])
+def test_bench_and_validate_memory_is_bounded(command, capsys, tmp_path):
+    # each draws in chunks and keeps no point, and sample formats a chunk's
+    # rows at a time; holding all 200k points peaks at about 17 MB (bench)
+    # and 24 MB (validate). The first run builds the generator's
+    # once-per-process jump tables outside the trace.
+    argv = [command]
+    if command.startswith("sample"):
+        argv = ["sample", "--format", command[7:], "--out", str(tmp_path / "out")]
+    main([*argv, "--dist", "half-normal-zigg", "--n", "1000", "--seed", "1"])
     tracemalloc.start()
     try:
-        code = main([command, "--dist", "half-normal-zigg", "--n", "200000", "--seed", "1"])
+        code = main([*argv, "--dist", "half-normal-zigg", "--n", "200000", "--seed", "1"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -177,6 +177,19 @@ def test_sample_many_zero():
         sampler.sample_many(-1)
 
 
+def test_sample_many_is_the_rows_of_sample_array(mixture_density, mixture_blocks):
+    def sampler():
+        return PatternBlockSampler(mixture_density, mixture_blocks, UniformSource(5))
+
+    arrays = sampler()
+    points = np.concatenate([arrays.sample_array(m) for m in (0, 1, 700)])
+    assert points.shape == (701, 2) and points.dtype == np.float64
+    assert arrays.sample_array(0).shape == (0, 2)
+    tuples = sampler()
+    assert tuples.sample_many(701) == [tuple(p) for p in points.tolist()]
+    assert (tuples.attempts, tuples.accepted) == (arrays.attempts, arrays.accepted)
+
+
 def test_sampling_is_deterministic(arcsine_density, arcsine_blocks):
     runs = []
     for _ in range(2):
