@@ -5,9 +5,11 @@ scaled-envelope strips sampled by inverse CDF (for densities with singular
 factors), and the equal-area ziggurat layout over a strictly decreasing
 density, whose stacked rectangle layers plus composite base block
 reproduce the classical ziggurat sampler. Rectangles and strips carry
-array kernels, each written once for floats and arrays; the ziggurat base
-(one attempt in n_layers) runs its scalar sampler through the sampler's
-adapter. Every membership test is one formula for floats and arrays.
+array kernels, each written once for floats and arrays. The ziggurat
+base's kernel samples its rectangle part on arrays and hands only its
+tail attempts (a few a round) to its scalar sampler, through the
+sampler's adapter. Every membership test is one formula for floats and
+arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import BlockSet, Kernel, PatternBlock, band_block, each, formula_footprint
+import numpy as np
+
+from .core import BlockSet, Kernel, PatternBlock, _adapter, band_block, each, formula_footprint
 from .rng import UniformSource
 
 R_BRACKET = (1e-3, 20.0)  # build_ziggurat bisects the tail start r in here
@@ -208,7 +212,9 @@ def ziggurat_base_block(layout: ZigguratLayout, f: Callable[[float], float]) -> 
     otherwise x comes from the exact tail sampler and the height is uniform
     on [0, f(x)]. Both parts lie under the graph except for the rectangle's
     spillover above f on [0, r], which the generic acceptance test handles.
-    contains calls f on numpy arrays as well as on floats.
+    contains calls f on numpy arrays as well as on floats. The kernel takes
+    the rectangle branch on arrays, and runs the scalar sampler on the tail
+    attempts alone.
     """
     r = layout.x[-1]
     f_r = layout.f_at_x[-1]
@@ -225,12 +231,26 @@ def ziggurat_base_block(layout: ZigguratLayout, f: Callable[[float], float]) -> 
             y = f(x) * source.next_unit()
         return (x,), y
 
+    tail = _adapter(sample)
+
+    def rect_or_tail(params, units, overflow):
+        x = r * units[:, 1]
+        y = f_r * units[:, 2]
+        rows = np.flatnonzero(units[:, 0] >= p_rect)
+        if not rows.size:
+            return (x,), y, None
+        (x[rows],), y[rows], used = tail(params.take(rows, 0), units.take(rows, 0), overflow)
+        # overflow units read through each attempt
+        through = np.zeros(len(x), np.int64)
+        through[rows] = used
+        return (x,), y, np.maximum.accumulate(through)
+
     def contains(point, y):
         x = point[0]
         under = ((x <= r) & (y <= f_r)) | ((x >= r) & (y <= f(x)))
         return (x >= 0.0) & (y >= 0.0) & under
 
-    return PatternBlock(v, sample, contains, "base", height_band=(0.0, f_r))
+    return PatternBlock(v, sample, contains, "base", (0.0, f_r), Kernel(rect_or_tail))
 
 
 def ziggurat_blockset(layout: ZigguratLayout, f: Callable[[float], float]) -> BlockSet:

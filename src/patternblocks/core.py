@@ -11,10 +11,12 @@ K / nu(B), the adoption rate.
 PatternBlockSampler runs attempts in numpy rounds. Attempt k reads the
 fixed slot of rng.SLOT main-stream units: its selection unit, then the
 units of its block. A block that needs more reads its own overflow stream
-(UniformSource.overflow). Every block kind samples all of a round's
-attempts in one call of its Kernel; a block without one runs its scalar
-sample_uniform attempt by attempt through one adapter, on the same units,
-with the same result.
+(UniformSource.overflow). A round selects its blocks through a guide table
+(Chen and Asau 1974) in O(1) per attempt, with the index select_block
+gives. Every block kind samples all of a round's attempts in one call of
+its Kernel, on arrays gathered with take; a block without one runs its
+scalar sample_uniform attempt by attempt through one adapter, on the same
+units, with the same result. Every shipped block has a kernel.
 """
 
 from __future__ import annotations
@@ -250,9 +252,27 @@ class BlockSet:
 select_block = bisect_right
 
 
-def select_blocks(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """select_block on each unit of u: the selection of a sampling round."""
-    return np.searchsorted(cumulative, u, side="right")
+def guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """Chen and Asau's guide table of a selection: entry j is
+    select_block(cumulative, j / M) for M buckets, M the smallest power of
+    two at least twice the number of blocks. M being a power of two makes
+    u * M and j / M exact, so floor(u * M) is u's bucket."""
+    m = 1 << (2 * len(cumulative) - 1).bit_length()
+    return np.searchsorted(cumulative, np.arange(m) / m, side="right")
+
+
+def select_blocks(cumulative: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """select_block on each unit of u, the selection of a sampling round:
+    start at the guide entry of u's bucket, which is at most the answer,
+    and step on while u >= cumulative[i]. The walk ends, as the last
+    cumulative entry is 1.0; averaged over u it makes at most
+    1 + len(cumulative) / M <= 1.5 comparisons."""
+    i = guide.take((u * len(guide)).astype(np.intp))
+    while True:
+        step = u >= cumulative.take(i)
+        if not step.any():
+            return i
+        i += step
 
 
 def exact_adoption_rate(density: Density, blockset: BlockSet) -> float:
@@ -394,7 +414,7 @@ def _overlap_check(blockset, dim, n_probe):
         )
     order = np.argsort(y, kind="stable")
     y = y[order]
-    point = tuple(points[order].T)
+    point = tuple(points.take(order, 0).T)
     owner = owner[order]
     counts = np.zeros(len(blocks), np.int64)
     for j, a, b in _band_slices(blocks, y):
@@ -472,6 +492,7 @@ class PatternBlockSampler:
         self._rate = min(1.0, exact_adoption_rate(density, blockset))
         self._evaluate = density.evaluate_array or _evaluate_each(density.evaluate)
         self._cumulative = np.array(blockset.cumulative)
+        self._guide = guide_table(self._cumulative)
         self._kinds = _Kinds(blockset.blocks, density.dim)
 
     def sample_one(self) -> Point:
@@ -501,13 +522,15 @@ class PatternBlockSampler:
                 points, heights, reads = self._round(m)
                 fx = self._evaluate(points)
                 hit = heights <= fx
+                keep = np.flatnonzero(hit)
                 # stop at the need-th acceptance, or at the first failing attempt
-                hits = np.cumsum(hit)
-                stop = int(np.searchsorted(hits, need)) if hits[-1] >= need else m - 1
-                index = np.arange(m)
-                streaks = index - np.maximum.accumulate(np.where(hit, index, -1 - streak))
+                stop = int(keep[need - 1]) if len(keep) >= need else m - 1
                 bad = np.flatnonzero(~hit & ~(fx >= 0.0))
-                capped = np.flatnonzero(streaks >= cap)
+                capped = np.empty(0, np.intp)
+                if streak + m >= cap:  # only then can a run of rejections reach the cap
+                    index = np.arange(m)
+                    streaks = index - np.maximum.accumulate(np.where(hit, index, -1 - streak))
+                    capped = np.flatnonzero(streaks >= cap)
                 error = None
                 if bad.size and bad[0] <= stop and not (capped.size and capped[0] < bad[0]):
                     stop = int(bad[0])
@@ -518,14 +541,13 @@ class PatternBlockSampler:
                 elif capped.size and capped[0] <= stop:
                     stop = int(capped[0])
                     error = RejectionCapError(
-                        f"{int(streaks[stop])} consecutive rejections; "
-                        "block set does not match the density"
+                        f"{cap} consecutive rejections; block set does not match the density"
                     )
-                keep = np.flatnonzero(hit[:stop + 1])
-                kept.append(points[keep])
+                keep = keep[:np.searchsorted(keep, stop, side="right")]
+                kept.append(points.take(keep, 0))
                 accepted += len(keep)
                 attempts += stop + 1
-                streak = int(streaks[stop])
+                streak = stop - int(keep[-1]) if keep.size else streak + stop + 1
                 self._rewind(m, stop, reads)
                 if error is not None:
                     raise error
@@ -540,7 +562,7 @@ class PatternBlockSampler:
         """Points, heights and overflow reads (see _Kinds.sample) of the
         next m attempts."""
         units = self.source.units(SLOT * m).reshape(m, SLOT)
-        blocks = select_blocks(self._cumulative, units[:, 0])
+        blocks = select_blocks(self._cumulative, self._guide, units[:, 0])
         return self._kinds.sample(blocks, units, self.source)
 
     def _rewind(self, m: int, stop: int, reads):
@@ -586,9 +608,11 @@ class _Kinds:
         first the selection unit), and for each kind that read its
         overflow stream: (stream, its position before the call, the kind's
         attempts, overflow units used)."""
-        kinds = self.kind_of[blocks]
-        rows = self.row_of[blocks]
-        points = np.empty((len(blocks), self.dim))
+        # the gathers go through take, and the scatters into 1-D arrays:
+        # numpy's 2-D fancy indexing costs several times more
+        kinds = self.kind_of.take(blocks)
+        rows = self.row_of.take(blocks)
+        columns = np.empty((self.dim, len(blocks)))
         heights = np.empty(len(blocks))
         reads = []
         for kind, (sample, params, block) in enumerate(self.kinds):
@@ -598,13 +622,13 @@ class _Kinds:
             stream = None if block is None else source.overflow(block)
             mark = stream.draws_issued if stream is not None else 0
             coords, heights[attempts], used = sample(
-                params[rows[attempts]], units[attempts, 1:], stream
+                params.take(rows.take(attempts), 0), units.take(attempts, 0)[:, 1:], stream
             )
-            for axis, values in enumerate(coords):
-                points[attempts, axis] = values
+            for column, values in zip(columns, coords, strict=True):
+                column[attempts] = values
             if used is not None:
                 reads.append((stream, mark, attempts, used))
-        return points, heights, reads
+        return columns.T, heights, reads
 
 
 def _evaluate_each(evaluate):

@@ -59,6 +59,7 @@ _SOURCE = 20
 _DIGITS = [16] + list(range(16))  # source byte of each of the 17 digits
 _ZERO, _DOT, _MINUS = 17, 18, 19
 _COLUMNS = np.arange(FIELD)
+_ROW = np.dtype((np.void, FIELD))  # one field's bytes as a single item
 
 
 def _templates(bodies):
@@ -92,9 +93,13 @@ def _lay_out(chars, digits, code):
         source[:, column] = _QUAD[group]
     source[:, 4] = _LEAD[first]
     source = source.view(np.uint8)
+    # rows are gathered with take and scattered with put, as one FIELD-byte
+    # void each: numpy's 2-D fancy indexing costs several times more
+    fields = chars.view(_ROW)[:, 0]
     for c in np.flatnonzero(np.bincount(code)).tolist():
         rows = np.flatnonzero(code == c)
-        chars[rows] = source[rows].take(_LAYOUTS[c], axis=1)
+        laid = source.take(rows, 0).take(_LAYOUTS[c], axis=1)
+        fields.put(rows, laid.view(_ROW)[:, 0])
 
 
 def _put_repr(chars, lengths, values, rows):

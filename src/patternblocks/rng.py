@@ -39,7 +39,8 @@ class UniformSource:
     def __init__(self, seed: int):
         self._seed = index(seed) & _MASK64
         self._bits = np.random.PCG64(self._seed)
-        self._chunk = iter(())
+        self._hand_out = []  # next_unit's current hand-out
+        self._chunk = iter(())  # its unread rest
         self._chunk_end = 0  # stream position just past the current chunk
         self._overflow = {}
 
@@ -54,7 +55,8 @@ class UniformSource:
             return next(self._chunk)
         except StopIteration:
             words = self._bits.random_raw(HAND_OUT)
-            self._chunk = iter(((words >> 11) * 2.0**-53).tolist())
+            self._hand_out = ((words >> 11) * 2.0**-53).tolist()
+            self._chunk = iter(self._hand_out)
             self._chunk_end += HAND_OUT
             return next(self._chunk)
 
@@ -67,6 +69,13 @@ class UniformSource:
 
     def rewind(self, k: int) -> None:
         """Step back k units: the next k draws repeat the last k."""
+        read = len(self._hand_out) - length_hint(self._chunk)
+        if 0 <= k <= read:
+            # within next_unit's hand-out: no word is drawn again, and a
+            # list iterator takes its position (pickle's __setstate__) uncopied
+            self._chunk = iter(self._hand_out)
+            self._chunk.__setstate__(read - k)
+            return
         self._drop_chunk()
         if not 0 <= k <= self._chunk_end:
             raise ValueError(f"cannot rewind {k} of {self._chunk_end} units")
@@ -87,5 +96,6 @@ class UniformSource:
         unread = length_hint(self._chunk)
         if unread:
             self._bits.advance(-unread)
-            self._chunk = iter(())
             self._chunk_end -= unread
+        self._hand_out = []
+        self._chunk = iter(())

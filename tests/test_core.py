@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patternblocks import core, distributions
@@ -19,7 +19,9 @@ from patternblocks.core import (
     PatternBlockSampler,
     RejectionCapError,
     exact_adoption_rate,
+    guide_table,
     select_block,
+    select_blocks,
     validate_blockset,
 )
 from patternblocks.distributions import (
@@ -69,10 +71,21 @@ def test_select_first_block_on_zero_with_arcsine_weights():
 
 
 @given(
-    st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=20),
+    # repeated measures come from a small pool; 1e-12 next to 1 puts many
+    # tiny blocks into one guide bucket
+    st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.sampled_from([*pool, 1e-12, 1.0]), min_size=1, max_size=300
+        )
+    ),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
+@example([1.0] + [1e-12] * 50, 0.5)
+@example([1e-12] * 50 + [1.0], 0.0)
+@example([1.0] * 300, 1.0 - 2.0**-53)
 def test_select_matches_linear_scan(measures, u):
+    # select_block and the rounds' guide-table selection, on u, 0, every
+    # cumulative entry, its neighbours and the largest unit below 1
     total = sum(measures)
     cumulative = []
     acc = 0.0
@@ -80,8 +93,21 @@ def test_select_matches_linear_scan(measures, u):
         acc += m
         cumulative.append(acc / total)
     cumulative[-1] = 1.0
-    linear = next(i for i, c in enumerate(cumulative) if u < c)
-    assert select_block(cumulative, u) == linear
+    array = np.array(cumulative)
+    units = [u, 0.0, *array, *np.nextafter(array, 0.0), *np.nextafter(array, 1.0), 1.0 - 2.0**-53]
+    units = np.array([v for v in units if v < 1.0])
+    linear = [next(i for i, c in enumerate(cumulative) if v < c) for v in units.tolist()]
+    assert [select_block(cumulative, v) for v in units.tolist()] == linear
+    assert select_blocks(array, guide_table(array), units).tolist() == linear
+
+
+def test_guide_table_with_tied_cumulative_entries():
+    cumulative = np.array([0.25, 0.25, 0.25, 0.5, 0.5, 1.0])
+    guide = guide_table(cumulative)
+    m = len(guide)
+    assert m == 16 and guide.tolist() == [select_block(cumulative, j / m) for j in range(m)]
+    units = np.array([0.0, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0 - 2.0**-53])
+    assert select_blocks(cumulative, guide, units).tolist() == [0, 0, 3, 3, 5, 5, 5]
 
 
 def test_selection_frequencies(arcsine_blocks):

@@ -117,6 +117,27 @@ def test_units_rewind_and_next_unit_share_one_stream():
         source.rewind(2 * n + 1)
 
 
+def test_rewind_within_and_across_hand_outs():
+    # a rewind inside next_unit's hand-out repositions in it; one past its
+    # start steps the generator back
+    expected = UniformSource(13).units(3 * HAND_OUT).tolist()
+    source = UniformSource(13)
+    for _ in range(HAND_OUT + 10):
+        source.next_unit()
+    source.rewind(7)
+    assert source.draws_issued == HAND_OUT + 3
+    assert [source.next_unit() for _ in range(7)] == expected[HAND_OUT + 3 : HAND_OUT + 10]
+    source.rewind(10)
+    assert source.next_unit() == expected[HAND_OUT]
+    source.rewind(0)
+    source.rewind(13)
+    assert source.draws_issued == HAND_OUT - 12
+    assert source.next_unit() == expected[HAND_OUT - 12]
+    source.rewind(1)
+    assert source.units(20).tolist() == expected[HAND_OUT - 12 : HAND_OUT + 8]
+    assert source.draws_issued == HAND_OUT + 8
+
+
 @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
 def test_overflow_streams_are_jumped_from_the_seed(seed):
     source = UniformSource(seed)

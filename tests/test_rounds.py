@@ -9,9 +9,9 @@ from patternblocks.blocks1d import rect_block
 from patternblocks.core import (
     BlockSet,
     Density,
-    Kernel,
     PatternBlockSampler,
     RejectionCapError,
+    guide_table,
     select_block,
     select_blocks,
 )
@@ -75,28 +75,37 @@ class _SlotThenOverflow:
         return self.overflow.next_unit()
 
 
+def _assert_kernel_matches_scalar(block, units, i):
+    """block's kernel on the slot units and block i's overflow stream gives,
+    bit for bit, the points, heights and overflow reads of sample_uniform
+    run attempt by attempt; returns the overflow units read."""
+    g = len(units)
+    kernel = block.kernel
+    params = np.array([kernel.params] * g, float).reshape(g, len(kernel.params))
+    coords, heights, used = kernel.sample(params, units, UniformSource(7).overflow(i))
+    overflow = UniformSource(7).overflow(i)
+    read = 0
+    for j, slot in enumerate(units.tolist()):
+        source = _SlotThenOverflow(slot, overflow)
+        point, y = block.sample_uniform(source)
+        assert point == tuple(float(c[j]) for c in coords), (block.label, j)
+        assert y == heights[j], (block.label, j)
+        read += source.overflow_units
+        assert (0 if used is None else used[j]) == read, (block.label, j)
+    assert (used is None) == (read == 0), block.label
+    return read
+
+
 @pytest.mark.parametrize("cover", COVERS)
 def test_kernels_match_scalar_samplers(request, cover):
-    # every shipped block, on the same slot units and overflow stream; a
-    # block without a kernel (the ziggurat base) runs through the adapter
+    # every shipped block has a kernel; on the same slot units and overflow
+    # stream it gives what sample_uniform gives
     blocks = request.getfixturevalue(cover).blocks
     g = 400
     overflow_readers = set()
     for i, block in enumerate(blocks):
         units = UniformSource(100 + i).units(g * (SLOT - 1)).reshape(g, SLOT - 1)
-        kernel = block.kernel or Kernel(core._adapter(block.sample_uniform))
-        params = np.array([kernel.params] * g, float).reshape(g, len(kernel.params))
-        coords, heights, used = kernel.sample(params, units, UniformSource(7).overflow(i))
-        overflow = UniformSource(7).overflow(i)
-        read = 0
-        for j, slot in enumerate(units.tolist()):
-            source = _SlotThenOverflow(slot, overflow)
-            point, y = block.sample_uniform(source)
-            assert point == tuple(float(c[j]) for c in coords), (block.label, j)
-            assert y == heights[j], (block.label, j)
-            read += source.overflow_units
-            assert (0 if used is None else used[j]) == read, (block.label, j)
-        if read:
+        if _assert_kernel_matches_scalar(block, units, i):
             overflow_readers.add(block.label)
     expected = {"mixture_blocks": {"superlevel"}, "zigg_blocks": {"base"}}
     assert overflow_readers == expected.get(cover, set())
@@ -106,28 +115,66 @@ def test_base_block_tail_branch_reads_overflow(zigg_layout, zigg_blocks):
     # slots that force the tail branch: its proposals and height spill over
     base = zigg_blocks.blocks[-1]
     units = np.array([[0.999, 0.3, 0.7], [0.5, 0.2, 0.4], [0.9999, 0.6, 0.1]])
-    coords, heights, used = core._adapter(base.sample_uniform)(
+    coords, heights, used = base.kernel.sample(
         np.empty((3, 0)), units, UniformSource(7).overflow(len(zigg_blocks) - 1)
     )
     r = zigg_layout.x[-1]
     assert coords[0][0] >= r and coords[0][2] >= r and coords[0][1] < r
     assert used[0] > 0 and used[1] == used[0] and used[2] > used[1]
+    _assert_kernel_matches_scalar(base, units, len(zigg_blocks) - 1)
+
+
+@pytest.mark.parametrize("branch", ["rectangle", "tail"])
+def test_base_kernel_rounds_of_one_branch(zigg_layout, zigg_blocks, branch):
+    # forced slots: no attempt takes the tail (no overflow read, used is
+    # None), or every attempt does
+    base = zigg_blocks.blocks[-1]
+    r, f_r = zigg_layout.x[-1], zigg_layout.f_at_x[-1]
+    p_rect = r * f_r / zigg_layout.layer_area
+    units = UniformSource(5).units(3 * 300).reshape(300, 3)
+    units[:, 0] *= p_rect
+    if branch == "tail":
+        units[:, 0] = np.maximum(p_rect, 1.0 - units[:, 0])
+    read = _assert_kernel_matches_scalar(base, units, len(zigg_blocks) - 1)
+    assert (read == 0) == (branch == "rectangle")
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_shipped_targets_never_sample_on_the_adapter(request, monkeypatch, target):
+    # every block of a shipped cover brings its own kernel, so no round
+    # falls back to running sample_uniform attempt by attempt for a block
+    density, blockset = (request.getfixturevalue(name) for name in TARGETS[target])
+    calls = []
+    monkeypatch.setattr(core, "_adapter", lambda sample: calls.append(sample))
+    sampler = PatternBlockSampler(density, blockset, UniformSource(8))
+    assert len(sampler.sample_array(5000)) == 5000
+    assert calls == []
 
 
 @pytest.mark.parametrize("cover", COVERS)
 def test_round_selection_matches_select_block(request, cover):
+    # the guide table, on 0, every cumulative entry, their neighbours on
+    # both sides and the largest unit below 1
     cumulative = request.getfixturevalue(cover).cumulative
-    units = [0.0, *cumulative[:-1], *np.nextafter(cumulative, 0.0).tolist(), 1.0 - 2.0**-53]
-    assert select_blocks(np.array(cumulative), np.array(units)).tolist() == [
-        select_block(cumulative, u) for u in units
+    array = np.array(cumulative)
+    guide = guide_table(array)
+    m = len(guide)
+    assert m & (m - 1) == 0 and 2 * len(cumulative) <= m < 4 * len(cumulative)
+    units = np.array([0.0, *array, *np.nextafter(array, 0.0), *np.nextafter(array, 1.0),
+                      1.0 - 2.0**-53])
+    units = units[units < 1.0]
+    assert select_blocks(array, guide, units).tolist() == [
+        select_block(cumulative, u) for u in units.tolist()
     ]
 
 
 def test_blocks_of_one_kind_share_a_kernel(zigg_blocks, mixture_blocks):
-    # one kernel call a round serves all 127 layers, and all three disks
+    # one kernel call a round serves all 127 layers, and all three disks;
+    # the ziggurat base is a kind of its own
     layers = {b.kernel.sample for b in zigg_blocks.blocks[:-1]}
     disks = {b.kernel.sample for b in mixture_blocks.blocks[2:]}
-    assert len(layers) == len(disks) == 1 and zigg_blocks.blocks[-1].kernel is None
+    base = zigg_blocks.blocks[-1].kernel
+    assert len(layers) == len(disks) == 1 and base is not None and base.sample not in layers
 
 
 def test_shipped_densities_evaluate_arrays_like_points():
