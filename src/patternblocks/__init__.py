@@ -29,13 +29,7 @@ from .core import (
     select_block,
     validate_blockset,
 )
-from .numeric import (
-    GofReport,
-    QuadratureError,
-    chi_square_gof,
-    quad_1d,
-    quad_2d_grid,
-)
+from .numeric import GofReport, chi_square_gof, quad_2d_grid
 from .rng import UniformSource
 
 __version__ = "0.1.0"
@@ -48,7 +42,6 @@ __all__ = [
     "PatternBlock",
     "PatternBlockSampler",
     "Point",
-    "QuadratureError",
     "RejectionCapError",
     "UniformSource",
     "ValidationReport",
@@ -59,7 +52,6 @@ __all__ = [
     "cylinder_block",
     "envelope_block",
     "exact_adoption_rate",
-    "quad_1d",
     "quad_2d_grid",
     "rect_block",
     "select_block",

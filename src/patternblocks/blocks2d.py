@@ -3,9 +3,10 @@
 Each is a band block (core.band_block), defined by its footprint's area,
 uniform point sampler and membership test; a sample draws the height
 first, then the point. Slabs stand on a rectangle, superlevel blocks
-restrict a bounding-box sampler to {f >= y_lo} by inner rejection, and
-cylinders stand on disks sampled in polar coordinates via the closed-form
-radial inverse CDF r = d * sqrt(u). Each footprint formula is written once
+restrict a bounding-box sampler to {f >= y_lo} by inner rejection, with
+the exact area their caller computes, and cylinders stand on disks
+sampled in polar coordinates via the closed-form radial inverse CDF
+r = d * sqrt(u). Each footprint formula is written once
 and serves the scalar sampler and the array kernel; the disk's cos and sin
 run element by element through math (core.each), so both round alike.
 Each membership test is likewise one formula for floats and arrays.
@@ -13,23 +14,28 @@ Each membership test is likewise one formula for floats and arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-from .core import Kernel, PatternBlock, RejectionCapError, band_block, check_band, each
-from .core import formula_footprint
-from .numeric import Rect, midpoint_bands
+from .core import Kernel, PatternBlock, RejectionCapError, band_block, each, formula_footprint
+from .numeric import Rect
 from .rng import UniformSource
 
 INNER_CAP = 1_000_000  # box proposals one superlevel sample may spend
-GRID = 2000  # cells per axis of the superlevel area count and leak scan
 OVERFLOW_BATCH = 1 << 16  # most box proposals a superlevel kernel draws at a time
 
 
 def _box_point(x1_lo, w1, x2_lo, w2, u1, u2):
     return x1_lo + w1 * u1, x2_lo + w2 * u2
+
+
+def _in_rect(rect, point):
+    (x1_lo, x1_hi), (x2_lo, x2_hi) = rect
+    x1, x2 = point
+    return (x1_lo <= x1) & (x1 <= x1_hi) & (x2_lo <= x2) & (x2 <= x2_hi)
 
 
 def _disk_point(c1, c2, radius, u_r, u_t):
@@ -50,13 +56,9 @@ def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> Pattern
     w1 = x1_hi - x1_lo
     w2 = x2_hi - x2_lo
     sample_point, footprint = formula_footprint(_box_point, (x1_lo, w1, x2_lo, w2), 2)
-
-    def in_footprint(point):
-        x1, x2 = point
-        return (x1_lo <= x1) & (x1 <= x1_hi) & (x2_lo <= x2) & (x2 <= x2_hi)
-
     return band_block(
-        w1 * w2, sample_point, in_footprint, y_lo, y_hi, label or "slab", footprint
+        w1 * w2, sample_point, functools.partial(_in_rect, rect), y_lo, y_hi,
+        label or "slab", footprint,
     )
 
 
@@ -94,22 +96,19 @@ def superlevel_block(
     f_xy: Callable,
     y_lo: float,
     y_hi: float,
-    domain_rect: Rect,
+    area: float,
     label: str = "",
 ) -> PatternBlock:
-    """Superlevel set {f_xy >= y_lo} times the height band [y_lo, y_hi].
+    """Superlevel set {f_xy >= y_lo} within bounding_rect, times the height
+    band [y_lo, y_hi].
 
     The level is the band's floor, as in the paper's block {f >= b0} x
-    [b0, b1]. The footprint area is the exact count of cells of the GRID x
-    GRID midpoint grid over bounding_rect where f_xy >= y_lo, times the
-    cell area (deterministic, so the selection weights carry no seed
-    dependence). A scan of the same grid over domain_rect asserts that no
-    cell outside bounding_rect reaches the level, i.e. the box really
-    contains the superlevel set. Both walk the grid in bounded bands
-    (numeric.midpoint_bands) and call f_xy on numpy arrays, as the kernel
-    does on its proposals and contains does in validate_blockset; the
-    scalar sampler's proposals call it on Python floats. The band is
-    checked before any grid work.
+    [b0, b1]. area is the footprint's exact area, which the caller
+    supplies, as for band_block. The footprint is the box intersected with
+    the set, and contains tests both, so validate_blockset's cover check
+    fails when the box clips the set. f_xy is called on numpy arrays (the
+    kernel's proposals, contains in validate_blockset) and on Python
+    floats (the scalar sampler's proposals). The constructor never calls it.
 
     The sampler draws box-uniform candidates until one clears the level
     (the conditional-distribution restriction); those inner retries are
@@ -121,21 +120,11 @@ def superlevel_block(
     j-th attempt whose slot pair missed, in attempt order, which is what
     the scalar sampler reads attempt by attempt.
     """
-    check_band(y_lo, y_hi)
     (x1_lo, x1_hi), (x2_lo, x2_hi) = bounding_rect
     if not (x1_lo < x1_hi and x2_lo < x2_hi):
         raise ValueError("degenerate bounding rectangle")
     w1 = x1_hi - x1_lo
     w2 = x2_hi - x2_lo
-
-    cells = sum(
-        int(np.count_nonzero(f_xy(xs, ys) >= y_lo))
-        for xs, ys in midpoint_bands(bounding_rect, GRID)
-    )
-    area = cells * (w1 / GRID) * (w2 / GRID)
-    _assert_box_adequate(y_lo, bounding_rect, f_xy, domain_rect)
-    if not area > 0.0:
-        raise ValueError("superlevel set has zero area at this resolution")
 
     def sample_point(source: UniformSource):
         for _ in range(INNER_CAP):
@@ -176,7 +165,7 @@ def superlevel_block(
         return (x1, x2), np.maximum.accumulate(used)
 
     def in_superlevel(point):
-        return f_xy(point[0], point[1]) >= y_lo
+        return _in_rect(bounding_rect, point) & (f_xy(point[0], point[1]) >= y_lo)
 
     return band_block(
         area, sample_point, in_superlevel, y_lo, y_hi, label or "superlevel", Kernel(restricted)
@@ -188,11 +177,3 @@ def _exhausted():
         f"restriction sampler exhausted {INNER_CAP} proposals; "
         "level and bounding box are inconsistent"
     )
-
-
-def _assert_box_adequate(level, bounding_rect, f_xy, domain_rect):
-    (bx_lo, bx_hi), (by_lo, by_hi) = bounding_rect
-    for xs, ys in midpoint_bands(domain_rect, GRID):
-        outside = (xs < bx_lo) | (xs > bx_hi) | (ys < by_lo) | (ys > by_hi)
-        if bool(np.any(outside & (f_xy(xs, ys) >= level))):
-            raise ValueError("superlevel set leaks outside the bounding rectangle")

@@ -25,14 +25,14 @@ import numpy as np
 from . import numeric
 from .blocks1d import ZigguratLayout, build_ziggurat, envelope_block, ziggurat_blockset
 from .blocks2d import cylinder_block, slab_block, superlevel_block
-from .core import BlockSet, Density
+from .core import BlockSet, Density, each
 from .rng import UniformSource
 
 # ---------------------------------------------------------------------------
 # arcsine-modulated density on (0, 1)
 
 ARCSINE_STRIPS = 8
-ARCSINE_MASS_TOL = 1e-10  # absolute quadrature tolerance of arcsine_modulated_mass
+ARCSINE_NODES = 8  # Gauss-Legendre nodes of arcsine_modulated_mass
 
 
 def arcsine_pdf(x):
@@ -62,13 +62,19 @@ def arcsine_cdf_inv(p: float) -> float:
     return s * s
 
 
-def modulation(x: float) -> float:
-    """1 + sin(8 pi x), the factor shaping the arcsine envelope."""
-    return 1.0 + math.sin(8.0 * math.pi * x)
+def modulation(x):
+    """1 + sin(8 pi x), the factor shaping the arcsine envelope; math.sin
+    on a Python float, np.sin on a numpy array."""
+    sin = math.sin if type(x) is float else np.sin
+    return 1.0 + sin(8.0 * math.pi * x)
 
 
-def arcsine_modulated_pdf(x: float) -> float:
-    """Target density: modulation(x) * arcsine_pdf(x) on (0, 1), else 0."""
+def arcsine_modulated_pdf(x):
+    """Target density: modulation(x) * arcsine_pdf(x) on (0, 1), else 0, on
+    a Python float or a numpy array (which feeds only the accept test)."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            return np.where((x <= 0.0) | (x >= 1.0), 0.0, modulation(x) * arcsine_pdf(x))
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return modulation(x) * arcsine_pdf(x)
@@ -82,6 +88,7 @@ def arcsine_modulated_density() -> Density:
         evaluate=lambda p: arcsine_modulated_pdf(p[0]),
         domain_bounds=((0.0, 1.0),),
         K=1.0,
+        evaluate_array=lambda points: arcsine_modulated_pdf(points[:, 0]),
     )
 
 
@@ -114,22 +121,21 @@ def arcsine_modulated_blockset() -> BlockSet:
 
 
 def arcsine_modulated_mass(lo: float, hi: float) -> float:
-    """Integral of the modulated density over [lo, hi] in [0, 1], to ARCSINE_MASS_TOL.
+    """Integral of the modulated density over [lo, hi] in [0, 1].
 
-    Uses the substitution x = sin^2(theta), which absorbs the arcsine
-    weight into a constant and leaves a smooth bounded integrand, so the
-    endpoint singularities never enter the quadrature.
+    The substitution x = sin^2(theta) absorbs the arcsine weight into the
+    constant 2 / pi and leaves an entire integrand, so the endpoint
+    singularities never enter the quadrature and ARCSINE_NODES nodes are
+    exact to rounding on each of the 64 validate bins.
     """
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError("integration range must sit inside [0, 1]")
-    t_lo = math.asin(math.sqrt(lo))
-    t_hi = math.asin(math.sqrt(hi))
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        return (2.0 / math.pi) * modulation(s * s)
-
-    return numeric.quad_1d(integrand, t_lo, t_hi, tol=ARCSINE_MASS_TOL)
+    return numeric.gauss_legendre(
+        lambda theta: (2.0 / math.pi) * modulation(np.sin(theta) ** 2),
+        math.asin(math.sqrt(lo)),
+        math.asin(math.sqrt(hi)),
+        ARCSINE_NODES,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +144,7 @@ def arcsine_modulated_mass(lo: float, hi: float) -> float:
 MIX_COEFF = 2119.0 / 9970.0
 MIX_DOMAIN = ((-4.0, 4.0), (-4.0, 4.0))
 SUPERLEVEL_BOX = ((-2.0, 3.5), (-2.0, 3.5))
+SUPERLEVEL_NODES = 256  # Gauss-Legendre nodes of mixture_superlevel_area
 
 
 def gauss_mixture_xy(x1, x2):
@@ -212,12 +219,49 @@ def gauss_mixture_density() -> Density:
     )
 
 
+def mixture_superlevel_area() -> float:
+    """Area of {gauss_mixture_xy >= B0}, exact to rounding.
+
+    The components are isotropic, of one scale and centred on the diagonal,
+    so f = exp(-v^2) f(s, s) with s = (x1 + x2) / 2, v = (x2 - x1) / sqrt(2),
+    and the set is the chords v^2 <= L(s) = ln(f(s, s) / B0): its area is
+    2 sqrt(2) times the integral of sqrt(L) ds over [a, b], where L >= 0.
+    Both ends are bisected at once to adjacent floats, and s = a + (b - a)
+    sin^2(theta / 2) leaves an entire integrand for SUPERLEVEL_NODES nodes.
+    L takes math's exp and log element by element (core.each), which round
+    alike on every host; numpy's may differ in the last bit.
+    """
+    (box_lo, box_hi), _ = SUPERLEVEL_BOX
+
+    def level(s: float) -> float:
+        return math.log(gauss_mixture_xy(s, s) / B0)
+
+    def chord(theta: float) -> float:
+        s = a + (b - a) * math.sin(0.5 * theta) ** 2
+        return math.sqrt(level(s)) * math.sin(theta)
+
+    # outside and inside ends of each bracket: the box corners lie below B0
+    lo, hi = np.array([box_lo, box_hi]), np.array([0.0, 2.0])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        inside = each(level, mid) >= 0.0
+        lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
+    a, b = hi.tolist()
+    # 2 sqrt(2) ds = sqrt(2) (b - a) sin(theta) dtheta
+    return math.sqrt(2.0) * (b - a) * numeric.gauss_legendre(
+        lambda theta: each(chord, theta), 0.0, math.pi, SUPERLEVEL_NODES
+    )
+
+
 def gauss_mixture_blockset() -> BlockSet:
     """Slab + superlevel + three cylinders covering the mixture subgraph."""
     blocks = [
         slab_block(MIX_DOMAIN, 0.0, B0, label="slab"),
         superlevel_block(
-            SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, domain_rect=MIX_DOMAIN, label="superlevel"
+            SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, area=mixture_superlevel_area(),
+            label="superlevel",
         ),
     ]
     for center, radius, y_lo, y_hi in MIX_DISKS:

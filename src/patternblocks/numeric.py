@@ -1,80 +1,48 @@
-"""Quadrature and chi-square goodness-of-fit utilities used to validate samplers.
+"""Quadrature and chi-square goodness-of-fit utilities.
 
-Expected bin probabilities are never estimated by sampling, so the checks
-stay decoupled from the samplers they judge. The half-normal and mixture
-targets take theirs in closed form (erf and erf products); the
-arcsine-modulated target integrates with quad_1d. quad_2d_grid is the
-tests' independent midpoint reference for the mixture bins. The package
-has no KS test of its own; callers that want one use scipy.stats.kstest.
+gauss_legendre is the one quadrature rule of the shipped targets: it gives
+the arcsine-modulated bin masses and the mixture's superlevel area, each
+exact to rounding. Expected bin probabilities are never estimated by
+sampling, so the checks stay decoupled from the samplers they judge; the
+half-normal and mixture bins come in closed form (erf and erf products).
+quad_2d_grid is the tests' independent midpoint reference for the mixture
+bins. The package has no KS test of its own; callers that want one use
+scipy.stats.kstest.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import chdtrc  # chi2.sf's own routine, without scipy.stats' import
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
 
 BAND_CELLS = 1 << 16  # grid cells midpoint_bands hands out at a time
 MIN_EXPECTED = 5.0  # expected count below which a chi-square bin is pooled
-QUAD_MAX_DEPTH = 50  # subdivision depth at which quad_1d gives up
 
 
 class TooFewBinsError(ValueError):
     """Too few samples for the bin layout: under 2 bins survive pooling."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive subdivision failed to reach the requested tolerance."""
+_leggauss = functools.cache(leggauss)  # (nodes, weights) on [-1, 1]
 
 
-def quad_1d(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """Integrate g over [lo, hi] by adaptive Simpson subdivision.
+def gauss_legendre(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, nodes: int) -> float:
+    """Integral of g over [a, b] by the Gauss-Legendre rule of the given
+    number of nodes, exact for polynomials of degree up to 2 * nodes - 1.
 
-    tol is an absolute error target. Raises QuadratureError when an interval
-    still misses its share of the tolerance at QUAD_MAX_DEPTH subdivisions.
+    g is called once, on the float64 array of the nodes mapped onto [a, b];
+    b < a gives the negated integral.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if lo == hi:
-        return 0.0
-    if lo > hi:
-        return -quad_1d(g, hi, lo, tol)
-    fa = g(lo)
-    fb = g(hi)
-    m = 0.5 * (lo + hi)
-    fm = g(m)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_adapt(g, lo, hi, fa, fm, fb, whole, tol, QUAD_MAX_DEPTH)
-
-
-def _simpson_adapt(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"subdivision depth exhausted on [{a}, {b}], residual {delta:.3e}"
-        )
-    half = 0.5 * tol
-    return _simpson_adapt(g, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_adapt(
-        g, m, b, fm, frm, fb, right, half, depth - 1
-    )
+    t, w = _leggauss(nodes)
+    half = 0.5 * (b - a)
+    return half * float((w * g(0.5 * (a + b) + half * t)).sum())
 
 
 class Quad2DResult(NamedTuple):

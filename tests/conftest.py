@@ -1,7 +1,27 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from patternblocks import distributions
 from patternblocks.blocks1d import ziggurat_blockset
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench_module():
+    """Imports a module of the benchmark (perfbench/) by name; tests only read it."""
+
+    def load(name):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            return importlib.import_module(name)
+        finally:
+            sys.path.remove(str(PERFBENCH))
+
+    return load
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,13 @@ from scipy.stats import chi2
 
 from patternblocks import blocks2d
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
-from patternblocks.core import BlockSet, Density, PatternBlockSampler, RejectionCapError
+from patternblocks.core import (
+    BlockSet,
+    Density,
+    PatternBlockSampler,
+    RejectionCapError,
+    validate_blockset,
+)
 from patternblocks.distributions import (
     B0,
     B1,
@@ -14,12 +20,14 @@ from patternblocks.distributions import (
     B3,
     MIX_DOMAIN,
     SUPERLEVEL_BOX,
+    gauss_mixture_density,
     gauss_mixture_xy,
+    mixture_superlevel_area,
 )
 from patternblocks.rng import UniformSource
 
-# frozen from the 4000x4000 midpoint indicator grid over the bounding box
-SUPERLEVEL_AREA = 11.79266
+# a 30-digit mpmath chord integral (tests/test_distributions.py recomputes it)
+SUPERLEVEL_AREA = 11.792702623992478
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +128,15 @@ def test_disjoint_disks_never_double_hit():
 
 @pytest.fixture(scope="module")
 def level_block():
-    return superlevel_block(SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, domain_rect=MIX_DOMAIN)
+    area = mixture_superlevel_area()
+    return superlevel_block(SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, area=area)
 
 
-def test_superlevel_measure_is_the_exact_cell_count(level_block):
-    # 2000 x 2000 cells over the box, each of area (5.5 / 2000)^2, times the
-    # band width: the grid indicator sum at the same cells, bit for bit
-    assert level_block.measure == 0.4913762734374999
+def test_superlevel_measure_is_the_chord_integral(level_block):
+    # the caller's area times the band width, the area within rounding of
+    # the exact chord integral
+    assert level_block.measure == mixture_superlevel_area() * (B1 - B0)
+    assert level_block.measure == pytest.approx(SUPERLEVEL_AREA * (B1 - B0), rel=1e-15)
 
 
 def test_superlevel_area(level_block):
@@ -173,33 +183,32 @@ def test_superlevel_landing_proportional_to_area(level_block):
     assert abs(hits - n * p) < 4.0 * sigma
 
 
-def test_superlevel_detects_leaky_bounding_box():
-    with pytest.raises(ValueError, match="leaks"):
-        superlevel_block(
-            ((0.0, 3.5), (-2.0, 3.5)),  # clips the level set on the left
-            gauss_mixture_xy,
-            B0,
-            B1,
-            domain_rect=MIX_DOMAIN,
-        )
+def test_superlevel_detects_leaky_bounding_box(mixture_blocks):
+    # a box that clips the level set on the left: its block no longer
+    # contains the clipped points, so the mixture cover check fails there
+    leaky = superlevel_block(
+        ((0.0, 3.5), (-2.0, 3.5)), gauss_mixture_xy, B0, B1, area=SUPERLEVEL_AREA
+    )
+    assert not leaky.contains((-1.0, -0.2), 0.05)
+    assert mixture_blocks.blocks[1].contains((-1.0, -0.2), 0.05)
+    blocks = list(mixture_blocks.blocks)
+    blocks[1] = leaky
+    report = validate_blockset(BlockSet(blocks), gauss_mixture_density())
+    assert report.cover.status == "fail"
+    assert report.cover.detail.startswith("2869 of 156720 probes uncovered")
+    assert validate_blockset(mixture_blocks, gauss_mixture_density()).cover.status == "pass"
 
 
 def test_superlevel_rejects_empty_region():
-    with pytest.raises(ValueError, match="zero area"):
-        superlevel_block(
-            SUPERLEVEL_BOX, gauss_mixture_xy, 1.0, 2.0,
-            domain_rect=MIX_DOMAIN,
-        )
+    with pytest.raises(ValueError, match="block measure must be positive"):
+        superlevel_block(SUPERLEVEL_BOX, gauss_mixture_xy, B0, B1, area=0.0)
 
 
 def test_superlevel_inner_cap_fires(monkeypatch):
     def needle(x1, x2):
         return np.where(x1 < 1e-3, 1.0, 0.0)
 
-    block = superlevel_block(
-        ((0.0, 1.0), (0.0, 1.0)), needle, 0.5, 1.0,
-        domain_rect=((0.0, 1.0), (0.0, 1.0)),
-    )
+    block = superlevel_block(((0.0, 1.0), (0.0, 1.0)), needle, 0.5, 1.0, area=1e-3)
     monkeypatch.setattr(blocks2d, "INNER_CAP", 20)
     with pytest.raises(RejectionCapError):
         block.sample_uniform(UniformSource(19))

@@ -582,8 +582,8 @@ def _flat(x1, x2):
     return 1.0 + 0.0 * (x1 * x2)
 
 
-def _no_grid(x1, x2):
-    raise AssertionError("grid work before the band check")
+def _not_called(x1, x2):
+    raise AssertionError("f_xy called by the constructor")
 
 
 _BOX = ((0.0, 2.0), (0.0, 1.5))
@@ -596,7 +596,7 @@ BAND_BLOCKS = {
         lambda lo, hi, f_xy: cylinder_block((1.0, -1.0), 0.5, lo, hi), math.pi * 0.25, 2
     ),
     "superlevel": (
-        lambda lo, hi, f_xy: superlevel_block(_BOX, f_xy, lo, hi, domain_rect=_BOX), 3.0, 2
+        lambda lo, hi, f_xy: superlevel_block(_BOX, f_xy, lo, hi, area=3.0), 3.0, 2
     ),
 }
 
@@ -606,7 +606,7 @@ def test_constructors_declare_height_bands(kind, stub_source):
     make, area, footprint_draws = BAND_BLOCKS[kind]
     for y_lo, y_hi in [(-0.5, 1.0), (0.5, 0.5), (1.0, 0.5), (math.nan, 1.0), (0.0, math.nan)]:
         with pytest.raises(ValueError, match=r"^need 0 <= y_lo < y_hi$"):
-            make(y_lo, y_hi, _no_grid)
+            make(y_lo, y_hi, _not_called)
     block = make(0.25, 0.75, _flat)
     assert block.label == kind
     assert block.height_band == (0.25, 0.75)

@@ -30,6 +30,7 @@ from patternblocks.distributions import (
     half_normal_pdf_inv,
     half_normal_tail_mass,
     half_normal_tail_sampler,
+    mixture_superlevel_area,
     modulation,
 )
 from patternblocks.numeric import quad_2d_grid
@@ -112,8 +113,33 @@ def test_arcsine_pdf_on_arrays_matches_floats_bit_for_bit():
     assert np.isinf(array[(x <= 0.0) | (x >= 1.0)]).all()
 
 
+def test_modulated_pdf_on_arrays_matches_floats_bit_for_bit(arcsine_density):
+    x = np.concatenate([
+        np.linspace(-0.5, 1.5, 4001),
+        [0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, -0.0, -1e-300, 1.0 + 2.0**-52],
+        [-1.0 / 16.0, math.nan],  # modulation 0 times an infinite envelope; NaN
+        np.random.default_rng(9).random(20_000),
+    ])
+    scalar = np.array([arcsine_modulated_pdf(v) for v in x.tolist()])
+    array = arcsine_density.evaluate_array(x[:, None])
+    assert array.dtype == np.float64
+    assert array.tobytes() == scalar.tobytes()
+
+
 def test_modulated_mass_is_normalized():
     assert abs(arcsine_modulated_mass(0.0, 1.0) - 1.0) < 1e-8
+
+
+def test_modulated_mass_bins_match_mpmath():
+    # the 64 validate bins, each against a 30-digit quadrature in theta
+    edges = np.linspace(0.0, 1.0, 65).tolist()
+    with mp.workdps(30):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            exact = mp.quad(
+                lambda t: 2 / mp.pi * (1 + mp.sin(8 * mp.pi * mp.sin(t) ** 2)),
+                [mp.asin(mp.sqrt(lo)), mp.asin(mp.sqrt(hi))],
+            )
+            assert abs(arcsine_modulated_mass(lo, hi) - exact) < 1e-14, (lo, hi)
 
 
 def test_modulated_blockset_structure(arcsine_blocks):
@@ -162,7 +188,7 @@ def test_mixture_mass_matches_closed_form_at_30_digits(mixture_density):
 
 
 def test_mixture_build_memory_is_bounded():
-    # the grid passes walk bounded bands; full 2000 x 2000 grids took 91.6 MB
+    # the build integrates on no grid; full 2000 x 2000 grids once took 91.6 MB
     tracemalloc.start()
     try:
         gauss_mixture_density()
@@ -197,6 +223,32 @@ def test_mixture_adoption_rate(mixture_density, mixture_blocks):
     # the coefficient nearly normalizes the truncated mixture, so the rate
     # computed with the closed-form K and with K = 1 must agree closely
     assert abs(rate - 1.0 / mixture_blocks.total_measure) < 0.002
+
+
+def test_mixture_superlevel_area_matches_mpmath_chord_integral():
+    # {f >= B0} is {v^2 <= L(u)} in the diagonal coordinates, so its area
+    # is the integral of 2 sqrt(L) between the roots of L
+    with mp.workdps(30):
+        def level(u):
+            bumps = mp.exp(-u * u) + mp.exp(-((u - 2 * mp.sqrt(2)) ** 2)) / 2
+            return mp.log(mp.mpf(2119) / 9970 * bumps * 40)
+
+        a, b = mp.findroot(level, -1.46), mp.findroot(level, 4.03)
+        exact = mp.quad(lambda u: 2 * mp.sqrt(level(u)), [a, 0, 2 * mp.sqrt(2), b])
+        assert abs(mixture_superlevel_area() - exact) / exact < 1e-13
+
+
+def test_mixture_exact_rate(mixture_density, mixture_blocks):
+    rate = exact_adoption_rate(mixture_density, mixture_blocks)
+    assert rate == pytest.approx(0.36436666825780356, rel=1e-14)
+
+
+@pytest.mark.parametrize("dist", ["gauss-mix-2d", "half-normal-zigg"])
+def test_exact_rate_matches_benchmark_oracle(perfbench_module, dist):
+    # arcsine-mod has no oracle rate; test_arcsine_rate_is_two_thirds pins it
+    target = TARGETS[dist]
+    rate = exact_adoption_rate(target.density(), target.cover())
+    assert rate == pytest.approx(perfbench_module("oracle").exact_rate(dist), rel=1e-9)
 
 
 def test_mixture_array_broadcasting():

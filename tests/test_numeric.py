@@ -3,62 +3,62 @@ import math
 import numpy as np
 import pytest
 
-from patternblocks import numeric
 from patternblocks.distributions import gauss_mixture_xy, modulation
 from patternblocks.numeric import (
-    QuadratureError,
     bin_probabilities_1d,
     bin_counts,
     chi_square_gof,
-    quad_1d,
+    gauss_legendre,
     quad_2d_grid,
 )
 
 # ---------------------------------------------------------------------------
-# 1-d adaptive quadrature
+# 1-d Gauss-Legendre quadrature
 
 
 def test_quad_constant():
-    assert abs(quad_1d(lambda x: 1.0, 0.0, 1.0) - 1.0) < 1e-12
+    assert gauss_legendre(lambda x: np.ones_like(x), 0.0, 1.0, 1) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_quad_orientation_and_empty_range():
-    assert quad_1d(lambda x: 1.0, 1.0, 1.0) == 0.0
-    assert abs(quad_1d(lambda x: x, 1.0, 0.0) + 0.5) < 1e-12
+    assert gauss_legendre(np.exp, 1.0, 1.0, 8) == 0.0
+    forward = gauss_legendre(np.exp, 0.0, 1.0, 8)
+    assert forward == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert gauss_legendre(np.exp, 1.0, 0.0, 8) == pytest.approx(-forward, rel=1e-15)
+
+
+def test_gauss_legendre_exact_to_degree_2n_minus_1():
+    # n nodes integrate x^k over [-1, 2] exactly for k <= 2n - 1, not for k = 2n
+    for n in (1, 2, 5, 8):
+        for k in range(2 * n + 1):
+            exact = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            error = abs(gauss_legendre(lambda x: x**k, -1.0, 2.0, n) - exact)
+            if k < 2 * n:
+                assert error <= 1e-13 * max(1.0, abs(exact)), (n, k)
+            else:
+                assert error > 1e-3, (n, k)
 
 
 def test_quad_arcsine_mass_via_substitution():
     # the arcsine weight integrates to 1; after x = sin^2(theta) the
     # integrand is the constant 2/pi on [0, pi/2]
-    value = quad_1d(lambda t: 2.0 / math.pi, 0.0, 0.5 * math.pi)
-    assert abs(value - 1.0) < 1e-8
+    value = gauss_legendre(lambda t: np.full_like(t, 2.0 / math.pi), 0.0, 0.5 * math.pi, 8)
+    assert abs(value - 1.0) < 1e-15
 
 
 def test_quad_modulated_mass_vanishing_harmonic():
     # the odd harmonic against the arcsine weight integrates to zero, so
-    # the modulated mass is exactly 1; checked at two tolerances
+    # the modulated mass is exactly 1; checked at two node counts
     def integrand(theta):
-        s = math.sin(theta)
-        return (2.0 / math.pi) * modulation(s * s)
+        return (2.0 / math.pi) * modulation(np.sin(theta) ** 2)
 
-    coarse = quad_1d(integrand, 0.0, 0.5 * math.pi, tol=1e-6)
-    fine = quad_1d(integrand, 0.0, 0.5 * math.pi, tol=1e-10)
-    assert abs(fine - 1.0) < 1e-6
-    assert abs(coarse - fine) < 1e-5
+    for nodes in (8, 64):
+        assert abs(gauss_legendre(integrand, 0.0, 0.5 * math.pi, nodes) - 1.0) < 1e-14
 
 
-def test_quad_depth_cap(monkeypatch):
-    # sqrt's kink at 0 needs deep subdivision: it converges within the
-    # shipped QUAD_MAX_DEPTH and exhausts a cap of 6
-    assert abs(quad_1d(math.sqrt, 0.0, 1.0) - 2.0 / 3.0) < 1e-9
-    monkeypatch.setattr(numeric, "QUAD_MAX_DEPTH", 6)
-    with pytest.raises(QuadratureError):
-        quad_1d(math.sqrt, 0.0, 1.0)
-
-
-def test_quad_rejects_bad_tol():
+def test_quad_rejects_no_nodes():
     with pytest.raises(ValueError):
-        quad_1d(lambda x: 1.0, 0.0, 1.0, tol=0.0)
+        gauss_legendre(np.exp, 0.0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------

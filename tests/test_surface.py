@@ -5,14 +5,10 @@ traced run (perfbench/traced.py) looks up by name."""
 import dataclasses
 import importlib
 import inspect
-import sys
-from pathlib import Path
 
 import pytest
 
 import patternblocks
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PUBLIC = [
     "BlockSet",
@@ -22,7 +18,6 @@ PUBLIC = [
     "PatternBlock",
     "PatternBlockSampler",
     "Point",
-    "QuadratureError",
     "RejectionCapError",
     "UniformSource",
     "ValidationReport",
@@ -33,7 +28,6 @@ PUBLIC = [
     "cylinder_block",
     "envelope_block",
     "exact_adoption_rate",
-    "quad_1d",
     "quad_2d_grid",
     "rect_block",
     "select_block",
@@ -63,9 +57,8 @@ def test_library_knobs_are_pinned():
         "self", "density", "blockset", "source",
     }
     assert _parameters(patternblocks.superlevel_block) == {
-        "bounding_rect", "f_xy", "y_lo", "y_hi", "domain_rect", "label",
+        "bounding_rect", "f_xy", "y_lo", "y_hi", "area", "label",
     }
-    assert _parameters(patternblocks.quad_1d) == {"g", "lo", "hi", "tol"}
     defaulted = {
         f.name for f in dataclasses.fields(patternblocks.PatternBlock)
         if f.default is not dataclasses.MISSING
@@ -74,12 +67,8 @@ def test_library_knobs_are_pinned():
 
 
 @pytest.fixture(scope="module")
-def traced():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        yield importlib.import_module("traced")
-    finally:
-        sys.path.remove(str(PERFBENCH))
+def traced(perfbench_module):
+    return perfbench_module("traced")
 
 
 def test_traced_build_spans_resolve(traced):
