@@ -5,11 +5,11 @@ scaled-envelope strips sampled by inverse CDF (for densities with singular
 factors), and the equal-area ziggurat layout over a strictly decreasing
 density, whose stacked rectangle layers plus composite base block
 reproduce the classical ziggurat sampler. Rectangles and strips carry
-array kernels, each written once for floats and arrays. The ziggurat
-base's kernel samples its rectangle part on arrays and hands only its
-tail attempts (a few a round) to its scalar sampler, through the
-sampler's adapter. Every membership test is one formula for floats and
-arrays.
+array kernels, each written once for floats and arrays: the strips'
+inverse CDF and envelope take numpy arrays whole. The ziggurat base's
+kernel samples its rectangle part on arrays and hands only its tail
+attempts (a few a round) to its scalar sampler, through the sampler's
+adapter. Every membership test is one formula for floats and arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BlockSet, Kernel, PatternBlock, _adapter, band_block, each, formula_footprint
+from .core import BlockSet, Kernel, PatternBlock, _adapter, band_block, formula_footprint
 from .rng import UniformSource
 
 R_BRACKET = (1e-3, 20.0)  # build_ziggurat bisects the tail start r in here
@@ -72,9 +72,9 @@ def envelope_block(
     envelope pdf may blow up at strip endpoints: those points are hit with
     probability zero, and an infinite height simply loses the later
     under-the-graph comparison. Draw order per sample: x, then the height.
-    envelope_pdf is called on floats and on numpy arrays (by the kernel and
-    contains), and must round alike on both; the cdf and its inverse are
-    called on floats only.
+    envelope_pdf and envelope_cdf_inv are called on floats (by the scalar
+    sampler) and on numpy arrays (by the kernel, and contains for the pdf),
+    and must round alike on both; the cdf is called on floats only.
     """
     if not a_lo < a_hi:
         raise ValueError("need a_lo < a_hi")
@@ -98,8 +98,7 @@ def envelope_block(
 
 
 def _strip_point(pdf, cdf_inv, cdf_lo, span, b, u, t):
-    # on arrays, cdf_inv runs on each element, as on floats; pdf takes arrays
-    v = each(cdf_inv, cdf_lo + span * u)
+    v = cdf_inv(cdf_lo + span * u)
     return (v,), b * pdf(v) * t
 
 

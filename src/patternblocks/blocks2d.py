@@ -7,9 +7,9 @@ restrict a bounding-box sampler to {f >= y_lo} by inner rejection, with
 the exact area their caller computes, and cylinders stand on disks
 sampled in polar coordinates via the closed-form radial inverse CDF
 r = d * sqrt(u). Each footprint formula is written once
-and serves the scalar sampler and the array kernel; the disk's cos and sin
-run element by element through math (core.each), so both round alike.
-Each membership test is likewise one formula for floats and arrays.
+and serves the scalar sampler and the array kernel; the disk takes numpy's
+sqrt, cos and sin on floats and arrays alike. Each membership test is
+likewise one formula for floats and arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Kernel, PatternBlock, RejectionCapError, band_block, each, formula_footprint
+from .core import Kernel, PatternBlock, RejectionCapError, band_block, formula_footprint
 from .numeric import Rect
 from .rng import UniformSource
 
@@ -39,10 +39,9 @@ def _in_rect(rect, point):
 
 
 def _disk_point(c1, c2, radius, u_r, u_t):
-    # sqrt is correctly rounded in math and numpy alike
-    r = radius * (np.sqrt(u_r) if isinstance(u_r, np.ndarray) else math.sqrt(u_r))
+    r = radius * np.sqrt(u_r)
     theta = 2.0 * math.pi * u_t
-    return c1 + r * each(math.cos, theta), c2 + r * each(math.sin, theta)
+    return c1 + r * np.cos(theta), c2 + r * np.sin(theta)
 
 
 def slab_block(rect: Rect, y_lo: float, y_hi: float, label: str = "") -> PatternBlock:

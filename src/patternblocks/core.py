@@ -16,7 +16,9 @@ units of its block. A block that needs more reads its own overflow stream
 gives. Every block kind samples all of a round's attempts in one call of
 its Kernel, on arrays gathered with take; a block without one runs its
 scalar sample_uniform attempt by attempt through one adapter, on the same
-units, with the same result. Every shipped block has a kernel.
+units, with the same result. Every shipped block has a kernel. The density
+is evaluated once a round, on the (m, dim) array of the round's points,
+and once on the probe grid of validate_blockset's cover scan.
 """
 
 from __future__ import annotations
@@ -47,28 +49,27 @@ class RejectionCapError(RuntimeError):
 
 
 class DensityValueError(RuntimeError):
-    """The density returned NaN or a negative value at a sampled point."""
+    """The density returned NaN or a negative value at a sampled point, or
+    an array not shaped (m,) for m points."""
 
 
 @dataclass(frozen=True)
 class Density:
     """Nonnegative target function f with its total mass K = integral of f.
 
-    evaluate maps a point (a 1- or 2-tuple of floats) to f(x) >= 0; f / K is
-    the probability density the samplers aim at. K_provenance records
-    whether K is known exactly (in closed form, as for every shipped
-    target) or was estimated by quadrature. evaluate_array, when given,
-    maps an (m, dim) array of points to their m values at once; it feeds
-    only the accept test, so it may differ from evaluate in the last bit.
-    Without it, the sampler calls evaluate on each point in attempt order.
+    evaluate maps an (m, dim) float64 array of points to the (m,) array of
+    their values f(x) >= 0; f / K is the probability density the samplers
+    aim at. A function that returns any other shape, as one written for a
+    single point does, raises DensityValueError when it is first called.
+    K_provenance records whether K is known exactly (in closed form, as for
+    every shipped target) or was estimated by quadrature.
     """
 
     dim: int
-    evaluate: Callable[[Point], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     domain_bounds: tuple[tuple[float, float], ...]
     K: float
     K_provenance: str = "exact"
-    evaluate_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -140,15 +141,6 @@ class PatternBlock:
         lo, hi = self.height_band
         if not lo <= hi:
             raise ValueError(f"height band must satisfy lo <= hi, got {self.height_band}")
-
-
-def each(fn: Callable[[float], float], x):
-    """fn(x) for a float x; for an array, fn on each element. Array formulas
-    call math's transcendentals through it, so that they round as the
-    scalar formulas do: numpy's may differ in the last bit."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, len(x))
-    return fn(x)
 
 
 def formula_footprint(point: Callable, params: tuple, n_units: int):
@@ -349,14 +341,12 @@ def _probe_grid(bounds, n_probe):
 
 
 def _cover_check(blockset, density, bounds, n_probe):
-    # The probes are sorted by height, so each block is asked once, about
-    # the slice of probes its height band holds. f is taken point by point
-    # from evaluate: the rung heights are those of the scalar formula.
+    # f is evaluated once, on the whole grid; the probes are sorted by
+    # height, so each block is asked once, about the slice of probes its
+    # height band holds
     blocks = blockset.blocks
     grid = _probe_grid(bounds, n_probe)
-    fx = np.fromiter(
-        map(density.evaluate, zip(*(axis.tolist() for axis in grid))), float, len(grid[0])
-    )
+    fx = _evaluate(density, np.stack(grid, axis=1))
     probed = np.flatnonzero((fx > VALIDATE_TOLERANCE) & (fx < math.inf))
     top = HEIGHT_RUNGS - 1
     y = ((fx[probed] - VALIDATE_TOLERANCE)[:, None] * np.arange(HEIGHT_RUNGS) / top).ravel()
@@ -463,6 +453,17 @@ def _block_name(blocks, i):
     return f"block {i} ({blocks[i].label!r})"
 
 
+def _evaluate(density, points):
+    """density.evaluate on an (m, dim) array of points: their m values."""
+    fx = np.asarray(density.evaluate(points), float)
+    if fx.shape != (len(points),):
+        raise DensityValueError(
+            f"density.evaluate returned shape {fx.shape} for {len(points)} points; "
+            "it must map an (m, dim) array of points to an (m,) array of values"
+        )
+    return fx
+
+
 class PatternBlockSampler:
     """Accept/reject sampler over a validated block set.
 
@@ -475,12 +476,14 @@ class PatternBlockSampler:
     last attempt used, so the points depend only on the seed, never on
     round or call sizes. attempts counts attempts through the last accepted
     point and accepted counts returned samples, so accepted / attempts
-    estimates the adoption rate. A rejected attempt whose density value is
-    NaN or negative raises DensityValueError; REJECTION_CAP consecutive
-    rejections within one call raise RejectionCapError. Both are raised at
-    the first such attempt in attempt order. empirical_rate is None before
-    the first attempt. One sampler per thread; the underlying source must
-    not be shared.
+    estimates the adoption rate. The density is evaluated once a round, on
+    the round's points; an evaluate that does not return one value per
+    point raises DensityValueError. A rejected attempt whose density value
+    is NaN or negative raises DensityValueError too; REJECTION_CAP
+    consecutive rejections within one call raise RejectionCapError. These
+    two are raised at the first such attempt in attempt order.
+    empirical_rate is None before the first attempt. One sampler per
+    thread; the underlying source must not be shared.
     """
 
     def __init__(self, density: Density, blockset: BlockSet, source: UniformSource):
@@ -490,7 +493,6 @@ class PatternBlockSampler:
         self.attempts = 0
         self.accepted = 0
         self._rate = min(1.0, exact_adoption_rate(density, blockset))
-        self._evaluate = density.evaluate_array or _evaluate_each(density.evaluate)
         self._cumulative = np.array(blockset.cumulative)
         self._guide = guide_table(self._cumulative)
         self._kinds = _Kinds(blockset.blocks, density.dim)
@@ -520,7 +522,7 @@ class PatternBlockSampler:
                 m = math.ceil(need / rate) if need < ROUND * rate else ROUND
                 m = min(ROUND, max(streak, m))
                 points, heights, reads = self._round(m)
-                fx = self._evaluate(points)
+                fx = _evaluate(self.density, points)
                 hit = heights <= fx
                 keep = np.flatnonzero(hit)
                 # stop at the need-th acceptance, or at the first failing attempt
@@ -629,15 +631,6 @@ class _Kinds:
             if used is not None:
                 reads.append((stream, mark, attempts, used))
         return columns.T, heights, reads
-
-
-def _evaluate_each(evaluate):
-    """Array evaluation that calls evaluate on each point in order."""
-
-    def evaluate_array(points):
-        return np.array([evaluate(p) for p in zip(*points.T.tolist())], float)
-
-    return evaluate_array
 
 
 class _SlotReader:

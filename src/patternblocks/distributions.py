@@ -25,7 +25,7 @@ import numpy as np
 from . import numeric
 from .blocks1d import ZigguratLayout, build_ziggurat, envelope_block, ziggurat_blockset
 from .blocks2d import cylinder_block, slab_block, superlevel_block
-from .core import BlockSet, Density, each
+from .core import BlockSet, Density
 from .rng import UniformSource
 
 # ---------------------------------------------------------------------------
@@ -54,30 +54,26 @@ def arcsine_cdf(x: float) -> float:
     return (2.0 / math.pi) * math.asin(math.sqrt(x))
 
 
-def arcsine_cdf_inv(p: float) -> float:
-    """sin^2(pi p / 2) on [0, 1]; avoids cancellation near the endpoints."""
-    if not 0.0 <= p <= 1.0:
+def arcsine_cdf_inv(p):
+    """sin^2(pi p / 2) on [0, 1], with np.sin, on a float or a numpy array;
+    avoids cancellation near the endpoints."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("arcsine_cdf_inv domain is [0, 1]")
-    s = math.sin(0.5 * math.pi * p)
-    return s * s
+    s = np.sin(0.5 * math.pi * p)
+    return s * s  # not s ** 2: on a numpy scalar, that is pow, off by an ulp at times
 
 
 def modulation(x):
-    """1 + sin(8 pi x), the factor shaping the arcsine envelope; math.sin
-    on a Python float, np.sin on a numpy array."""
-    sin = math.sin if type(x) is float else np.sin
-    return 1.0 + sin(8.0 * math.pi * x)
+    """1 + sin(8 pi x), the factor shaping the arcsine envelope, on a numpy
+    array."""
+    return 1.0 + np.sin(8.0 * math.pi * x)
 
 
 def arcsine_modulated_pdf(x):
     """Target density: modulation(x) * arcsine_pdf(x) on (0, 1), else 0, on
-    a Python float or a numpy array (which feeds only the accept test)."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(invalid="ignore"):
-            return np.where((x <= 0.0) | (x >= 1.0), 0.0, modulation(x) * arcsine_pdf(x))
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return modulation(x) * arcsine_pdf(x)
+    a numpy array."""
+    with np.errstate(invalid="ignore"):
+        return np.where((x <= 0.0) | (x >= 1.0), 0.0, modulation(x) * arcsine_pdf(x))
 
 
 def arcsine_modulated_density() -> Density:
@@ -85,10 +81,9 @@ def arcsine_modulated_density() -> Density:
     # arcsine weight (antisymmetry under x -> 1 - x of the odd harmonic)
     return Density(
         dim=1,
-        evaluate=lambda p: arcsine_modulated_pdf(p[0]),
+        evaluate=lambda points: arcsine_modulated_pdf(points[:, 0]),
         domain_bounds=((0.0, 1.0),),
         K=1.0,
-        evaluate_array=lambda points: arcsine_modulated_pdf(points[:, 0]),
     )
 
 
@@ -199,13 +194,7 @@ def gauss_mixture_density() -> Density:
     """
     (x1_lo, x1_hi), (x2_lo, x2_hi) = MIX_DOMAIN
 
-    def evaluate(point):
-        x1, x2 = point
-        if not (x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi):
-            return 0.0
-        return gauss_mixture_xy(x1, x2)
-
-    def evaluate_array(points):
+    def evaluate(points):
         x1, x2 = points.T
         inside = (x1_lo <= x1) & (x1 <= x1_hi) & (x2_lo <= x2) & (x2 <= x2_hi)
         return np.where(inside, gauss_mixture_xy(x1, x2), 0.0)
@@ -215,7 +204,6 @@ def gauss_mixture_density() -> Density:
         evaluate=evaluate,
         domain_bounds=MIX_DOMAIN,
         K=float(_gauss_mixture_masses(1)[1][0, 0]),
-        evaluate_array=evaluate_array,
     )
 
 
@@ -228,7 +216,7 @@ def mixture_superlevel_area() -> float:
     2 sqrt(2) times the integral of sqrt(L) ds over [a, b], where L >= 0.
     Both ends are bisected at once to adjacent floats, and s = a + (b - a)
     sin^2(theta / 2) leaves an entire integrand for SUPERLEVEL_NODES nodes.
-    L takes math's exp and log element by element (core.each), which round
+    L takes math's exp and log element by element (_each), which round
     alike on every host; numpy's may differ in the last bit.
     """
     (box_lo, box_hi), _ = SUPERLEVEL_BOX
@@ -246,13 +234,18 @@ def mixture_superlevel_area() -> float:
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
-        inside = each(level, mid) >= 0.0
+        inside = _each(level, mid) >= 0.0
         lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
     a, b = hi.tolist()
     # 2 sqrt(2) ds = sqrt(2) (b - a) sin(theta) dtheta
     return math.sqrt(2.0) * (b - a) * numeric.gauss_legendre(
-        lambda theta: each(chord, theta), 0.0, math.pi, SUPERLEVEL_NODES
+        lambda theta: _each(chord, theta), 0.0, math.pi, SUPERLEVEL_NODES
     )
+
+
+def _each(fn, x):
+    """fn on each element of the array x, as a float64 array."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def gauss_mixture_blockset() -> BlockSet:
@@ -279,8 +272,9 @@ HALF_NORMAL_PEAK = math.sqrt(2.0 / math.pi)
 
 def half_normal_pdf(x):
     """sqrt(2 / pi) exp(-x^2 / 2) for x >= 0, zero below, on a Python float
-    or a numpy array. A float takes math.exp, an array np.exp: the array
-    form feeds only the sampler's accept test."""
+    or a numpy array. A float takes math.exp, an array np.exp: the floats
+    build the ziggurat and give its tail heights, the arrays feed the
+    density's evaluate and the base block's contains."""
     exp = math.exp if type(x) is float else np.exp
     return HALF_NORMAL_PEAK * exp(-0.5 * x * x) * (x >= 0.0)
 
@@ -321,10 +315,9 @@ def half_normal_tail_sampler(r: float, source: UniformSource) -> float:
 def half_normal_density() -> Density:
     return Density(
         dim=1,
-        evaluate=lambda p: half_normal_pdf(p[0]),
+        evaluate=lambda points: half_normal_pdf(points[:, 0]),
         domain_bounds=((0.0, math.inf),),
         K=1.0,
-        evaluate_array=lambda points: half_normal_pdf(points[:, 0]),
     )
 
 

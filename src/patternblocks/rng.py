@@ -6,8 +6,9 @@ raw 64-bit words, so every double handed out is a pure function of the
 seed. Cryptographic strength is explicitly not a goal; the generator only
 has to feed rejection samplers with well-equidistributed uniforms.
 
-A source hands out its main stream one unit at a time (next_unit) or as
-arrays (units), and can step back over units it handed out (rewind).
+A source hands out its stream as arrays (units), or one word at a time
+(next_unit) for the few scalar samples a run still takes, and steps back
+over units it handed out by moving the generator back (rewind).
 PatternBlockSampler reads the main stream in fixed slots of SLOT units per
 attempt, and gives block i an overflow stream of its own, PCG64(seed)
 jumped i + 1 times, for the units a block sample needs beyond its slot.
@@ -18,12 +19,11 @@ used (the idea behind counter-based generators; Salmon et al. 2011).
 
 from __future__ import annotations
 
-from operator import index, length_hint
+from operator import index
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-HAND_OUT = 4096  # words next_unit draws and turns into Python floats at a time
 SLOT = 4  # main-stream units per sampling attempt: selection, then 3 for the block
 
 
@@ -39,48 +39,27 @@ class UniformSource:
     def __init__(self, seed: int):
         self._seed = index(seed) & _MASK64
         self._bits = np.random.PCG64(self._seed)
-        self._hand_out = []  # next_unit's current hand-out
-        self._chunk = iter(())  # its unread rest
-        self._chunk_end = 0  # stream position just past the current chunk
+        self.draws_issued = 0  # units handed out so far, less those rewound
         self._overflow = {}
 
-    @property
-    def draws_issued(self) -> int:
-        """Units handed out so far, less those rewound."""
-        return self._chunk_end - length_hint(self._chunk)
-
     def next_unit(self) -> float:
-        """Next uniform value in [0, 1); draws_issued goes up by one."""
-        try:
-            return next(self._chunk)
-        except StopIteration:
-            words = self._bits.random_raw(HAND_OUT)
-            self._hand_out = ((words >> 11) * 2.0**-53).tolist()
-            self._chunk = iter(self._hand_out)
-            self._chunk_end += HAND_OUT
-            return next(self._chunk)
+        """Next uniform value in [0, 1), from one word; draws_issued goes
+        up by one."""
+        self.draws_issued += 1
+        return (self._bits.random_raw() >> 11) * 2.0**-53
 
     def units(self, k: int) -> np.ndarray:
         """The next k units as a float64 array, the values k next_unit
         calls would give."""
-        self._drop_chunk()
-        self._chunk_end += k
+        self.draws_issued += k
         return (self._bits.random_raw(k) >> 11) * 2.0**-53
 
     def rewind(self, k: int) -> None:
         """Step back k units: the next k draws repeat the last k."""
-        read = len(self._hand_out) - length_hint(self._chunk)
-        if 0 <= k <= read:
-            # within next_unit's hand-out: no word is drawn again, and a
-            # list iterator takes its position (pickle's __setstate__) uncopied
-            self._chunk = iter(self._hand_out)
-            self._chunk.__setstate__(read - k)
-            return
-        self._drop_chunk()
-        if not 0 <= k <= self._chunk_end:
-            raise ValueError(f"cannot rewind {k} of {self._chunk_end} units")
+        if not 0 <= k <= self.draws_issued:
+            raise ValueError(f"cannot rewind {k} of {self.draws_issued} units")
         self._bits.advance(-k)
-        self._chunk_end -= k
+        self.draws_issued -= k
 
     def overflow(self, i: int) -> UniformSource:
         """Block i's overflow stream, PCG64(seed) jumped i + 1 times; made
@@ -90,12 +69,3 @@ class UniformSource:
             stream = self._overflow[i] = UniformSource(self._seed)
             stream._bits = stream._bits.jumped(i + 1)
         return stream
-
-    def _drop_chunk(self):
-        # step the generator back over the unread rest of next_unit's hand-out
-        unread = length_hint(self._chunk)
-        if unread:
-            self._bits.advance(-unread)
-            self._chunk_end -= unread
-        self._hand_out = []
-        self._chunk = iter(())

@@ -213,7 +213,8 @@ def test_superlevel_inner_cap_fires(monkeypatch):
     with pytest.raises(RejectionCapError):
         block.sample_uniform(UniformSource(19))
     density = Density(
-        dim=2, evaluate=lambda p: 1.0, domain_bounds=((0.0, 1.0), (0.0, 1.0)), K=1e-3
+        dim=2, evaluate=lambda p: np.ones(len(p)), domain_bounds=((0.0, 1.0), (0.0, 1.0)),
+        K=1e-3,
     )
     sampler = PatternBlockSampler(density, BlockSet([block]), UniformSource(19))
     with pytest.raises(RejectionCapError, match="exhausted 20 proposals"):

@@ -177,6 +177,50 @@ def test_validate_report_matches_golden_digest(capsys, dist):
     assert digest == GOLDEN_VALIDATE_SHA256[dist]
 
 
+# The golden runs whose bytes pass through numpy's sin and cos: the
+# arcsine strips' inverse CDF and modulation, and the mixture's disks.
+GOLDEN_TRIG_RUNS = [
+    ("sample", "--dist", "arcsine-mod", "--n", "2000"),
+    ("sample", "--dist", "arcsine-mod", "--n", "5000"),
+    ("sample", "--dist", "gauss-mix-2d", "--n", "1000"),
+    ("sample", "--dist", "gauss-mix-2d", "--n", "6000"),
+    ("validate", "--dist", "arcsine-mod", "--n", "2000"),
+    ("validate", "--dist", "gauss-mix-2d", "--n", "2000"),
+]
+
+
+def test_numpy_sin_and_cos_match_math_on_golden_arguments(tmp_path, capsys, monkeypatch):
+    # The digests above were pinned where numpy's sin and cos equal math's
+    # on every argument these runs pass them. A host whose numpy rounds
+    # one differently fails here, with the function and the argument,
+    # before ten digests fail without a reason.
+    calls = {"sin": [], "cos": []}
+    for name, seen in calls.items():
+        ufunc = getattr(np, name)
+
+        def recorded(x, *args, _ufunc=ufunc, _seen=seen, **kwargs):
+            values = _ufunc(x, *args, **kwargs)
+            _seen.append((np.array(x, float).ravel(), np.array(values, float).ravel()))
+            return values
+
+        monkeypatch.setattr(np, name, recorded)
+    for argv in GOLDEN_TRIG_RUNS:
+        code, _, _ = run_cli(capsys, *argv, "--seed", "42", "--out", str(tmp_path / "out"))
+        assert code == 0, argv
+    monkeypatch.undo()
+    for name, seen in calls.items():
+        assert seen, name
+        x, got = (np.concatenate(parts) for parts in zip(*seen))
+        want = np.array([getattr(math, name)(v) for v in x.tolist()])
+        wrong = np.flatnonzero(got != want)
+        if wrong.size:
+            k = wrong[0]
+            pytest.fail(
+                f"np.{name}({float(x[k])!r}) = {float(got[k])!r} but math.{name} gives "
+                f"{float(want[k])!r}; {wrong.size} of {x.size} golden arguments differ"
+            )
+
+
 def test_sample_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -248,7 +292,7 @@ def test_sample_rejection_cap_exit_code(capsys, monkeypatch):
 
     impossible = distributions.Target(
         density=lambda: Density(
-            dim=1, evaluate=lambda p: 0.5, domain_bounds=((0.0, 1.0),), K=0.5
+            dim=1, evaluate=lambda p: np.full(len(p), 0.5), domain_bounds=((0.0, 1.0),), K=0.5
         ),
         cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)]),
         probe_bounds=None,
@@ -285,7 +329,7 @@ def _constant_density_target(value):
 
     return distributions.Target(
         density=lambda: Density(
-            dim=1, evaluate=lambda p: value, domain_bounds=((0.0, 1.0),), K=1.0
+            dim=1, evaluate=lambda p: np.full(len(p), value), domain_bounds=((0.0, 1.0),), K=1.0
         ),
         cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.0, 1.0)]),
         probe_bounds=None,
@@ -301,6 +345,28 @@ def test_sample_bad_density_value_exits_three_at_once(capsys, monkeypatch, value
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert err.startswith("error: density is ") and err.count("\n") == 1, err
+
+
+def test_sample_pointwise_density_exits_three(capsys, monkeypatch):
+    # an evaluate written for one point returns shape (1,) on an (m, 1)
+    # array, which would broadcast into every attempt's accept test
+    from patternblocks.blocks1d import rect_block
+
+    pointwise = distributions.Target(
+        density=lambda: Density(
+            dim=1, evaluate=lambda p: 2.0 * p[0] if 0.0 <= p[0] <= 1.0 else 0.0,
+            domain_bounds=((0.0, 1.0),), K=1.0,
+        ),
+        cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)]),
+        probe_bounds=None,
+        bins=None,
+    )
+    monkeypatch.setitem(distributions.TARGETS, "arcsine-mod", pointwise)
+    code, out, err = run_cli(capsys, "sample", "--dist", "arcsine-mod", "--n", "10000")
+    assert code == 3
+    assert out == "x\n"
+    assert err.startswith("error: density.evaluate returned shape (1,) for "), err
+    assert err.count("\n") == 1
 
 
 def test_sample_infinite_density_value_accepts(capsys, monkeypatch):

@@ -36,9 +36,15 @@ from patternblocks.rng import SLOT, UniformSource
 def _uniform_density():
     return Density(
         dim=1,
-        evaluate=lambda p: 1.0 if 0.0 <= p[0] <= 1.0 else 0.0,
+        evaluate=lambda p: np.where((0.0 <= p[:, 0]) & (p[:, 0] <= 1.0), 1.0, 0.0),
         domain_bounds=((0.0, 1.0),),
         K=1.0,
+    )
+
+
+def _constant_density(value, K=1.0):
+    return Density(
+        dim=1, evaluate=lambda p: np.full(len(p), value), domain_bounds=((0.0, 1.0),), K=K
     )
 
 
@@ -127,15 +133,15 @@ def test_selection_frequencies(arcsine_blocks):
 
 
 def test_density_rejects_bad_inputs():
+    def ones(p):
+        return np.ones(len(p))
+
     with pytest.raises(ValueError):
-        Density(dim=3, evaluate=lambda p: 1.0, domain_bounds=((0, 1),) * 3, K=1.0)
+        Density(dim=3, evaluate=ones, domain_bounds=((0, 1),) * 3, K=1.0)
     with pytest.raises(ValueError):
-        Density(dim=1, evaluate=lambda p: 1.0, domain_bounds=((0, 1),), K=0.0)
+        Density(dim=1, evaluate=ones, domain_bounds=((0, 1),), K=0.0)
     with pytest.raises(ValueError):
-        Density(
-            dim=1, evaluate=lambda p: 1.0, domain_bounds=((0, 1),), K=1.0,
-            K_provenance="guess",
-        )
+        Density(dim=1, evaluate=ones, domain_bounds=((0, 1),), K=1.0, K_provenance="guess")
 
 
 def test_pattern_block_rejects_nonpositive_measure():
@@ -168,12 +174,7 @@ def test_exact_adoption_rate_single_exact_block():
 @settings(max_examples=50)
 def test_adding_block_never_increases_rate(widths, extra):
     blocks = [rect_block(0.0, w, 0.0, 1.0) for w in widths]
-    density = Density(
-        dim=1,
-        evaluate=lambda p: 0.0,
-        domain_bounds=((0.0, 1.0),),
-        K=0.005,  # below any block total, so the rate stays in (0, 1]
-    )
+    density = _constant_density(0.0, K=0.005)  # K below any block total: the rate stays in (0, 1]
     before = exact_adoption_rate(density, BlockSet(blocks))
     after = exact_adoption_rate(
         density, BlockSet(blocks + [rect_block(0.0, extra, 0.0, 1.0)])
@@ -235,9 +236,7 @@ def test_arcsine_empirical_rate(arcsine_density, arcsine_blocks):
 
 def test_rejection_cap_fires(monkeypatch):
     # block sits entirely above the graph, so nothing is ever accepted
-    density = Density(
-        dim=1, evaluate=lambda p: 0.5, domain_bounds=((0.0, 1.0),), K=0.5
-    )
+    density = _constant_density(0.5, K=0.5)
     blockset = BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)])
     monkeypatch.setattr(core, "REJECTION_CAP", 500)
     sampler = PatternBlockSampler(density, blockset, UniformSource(0))
@@ -249,7 +248,10 @@ def _scripted_density(values):
     """Density whose k-th evaluation returns values[k], then 0.0."""
     calls = iter(values)
     return Density(
-        dim=1, evaluate=lambda p: next(calls, 0.0), domain_bounds=((0.0, 1.0),), K=1.0
+        dim=1,
+        evaluate=lambda p: np.array([next(calls, 0.0) for _ in p]),
+        domain_bounds=((0.0, 1.0),),
+        K=1.0,
     )
 
 
@@ -302,10 +304,41 @@ def test_nan_or_negative_density_fails_fast(bad):
     assert (sampler.accepted, sampler.attempts) == (2, 3)
 
 
-def test_infinite_density_value_accepts_finite_heights():
-    density = Density(
-        dim=1, evaluate=lambda p: math.inf, domain_bounds=((0.0, 1.0),), K=1.0
+def _ramp_density():
+    return Density(
+        dim=1,
+        evaluate=lambda p: np.where((0.0 <= p[:, 0]) & (p[:, 0] <= 1.0), 2.0 * p[:, 0], 0.0),
+        domain_bounds=((0.0, 1.0),),
+        K=1.0,
     )
+
+
+def _pointwise_ramp():
+    # the ramp written for one point: on an (m, 1) array it returns (1,)
+    return Density(
+        dim=1,
+        evaluate=lambda p: 2.0 * p[0] if 0.0 <= p[0] <= 1.0 else 0.0,
+        domain_bounds=((0.0, 1.0),),
+        K=1.0,
+    )
+
+
+POINTWISE_MESSAGE = r"returned shape \(1,\) for \d+ points; it must map an \(m, dim\) array"
+
+
+def test_pointwise_evaluate_fails_fast():
+    # a broadcast (1,) would silently accept every attempt against f(x_0)
+    cover = BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)])
+    sampler = PatternBlockSampler(_pointwise_ramp(), cover, UniformSource(42))
+    with pytest.raises(DensityValueError, match=POINTWISE_MESSAGE):
+        sampler.sample_array(10_000)
+    assert (sampler.accepted, sampler.attempts) == (0, 0)
+    ramp = PatternBlockSampler(_ramp_density(), cover, UniformSource(42))
+    assert abs(ramp.sample_array(10_000).mean() - 2.0 / 3.0) < 0.01
+
+
+def test_infinite_density_value_accepts_finite_heights():
+    density = _constant_density(math.inf)
     blockset = BlockSet([rect_block(0.0, 1.0, 0.0, 5.0)])
     sampler = PatternBlockSampler(density, blockset, UniformSource(1))
     sampler.sample_many(100)
@@ -388,7 +421,7 @@ def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, rungs=
             for j in range(per_axis)
         ]
     for point in points:
-        fx = density.evaluate(point)
+        fx = float(density.evaluate(np.array([point]))[0])
         if not (fx > tolerance) or math.isinf(fx):
             continue
         for j in range(rungs):
@@ -496,12 +529,7 @@ def test_validate_matches_reference_on_broken_covers(
     )
     assert halved.cover.status == "fail"
     # both covers miss only a thin band just under the graph
-    ramp = Density(
-        dim=1,
-        evaluate=lambda p: 2.0 * p[0] if 0.0 <= p[0] <= 1.0 else 0.0,
-        domain_bounds=((0.0, 1.0),),
-        K=1.0,
-    )
+    ramp = _ramp_density()
     short_rect = _assert_matches_reference(
         BlockSet([rect_block(0.0, 1.0, 0.0, 1.9)]), ramp, 20_000
     )
@@ -565,6 +593,12 @@ def test_validate_contains_budget(half_normal_density, zigg_blocks):
     assert report.all_passed()
     assert calls <= 300_000
     assert probes <= 1_000_000
+
+
+def test_validate_rejects_a_pointwise_evaluate():
+    cover = BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)])
+    with pytest.raises(DensityValueError, match=POINTWISE_MESSAGE):
+        validate_blockset(cover, _pointwise_ramp(), n_probe=8)
 
 
 def test_validate_names_a_contains_that_cannot_take_arrays():

@@ -72,6 +72,18 @@ def test_arcsine_cdf_inv_special_points():
     assert abs(arcsine_cdf_inv(1.0) - 1.0) < 1e-15
 
 
+def test_arcsine_cdf_inv_on_arrays_matches_floats_bit_for_bit():
+    # the strips' kernel inverts arrays, their scalar sampler floats
+    p = np.concatenate([
+        [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0], np.random.default_rng(5).random(20_000)
+    ])
+    scalar = np.array([arcsine_cdf_inv(v) for v in p.tolist()])
+    assert arcsine_cdf_inv(p).tobytes() == scalar.tobytes()
+    for bad in ([0.5, -1e-300], [math.nan, 0.5], [0.25, 1.0 + 2.0**-52]):
+        with pytest.raises(ValueError, match=r"domain is \[0, 1\]"):
+            arcsine_cdf_inv(np.array(bad))
+
+
 def test_arcsine_round_trip():
     # away from 1 the round trip is exact to 1e-14; approaching 1 the
     # representation of sin^2 saturates (absolute spacing 2^-53) while the
@@ -93,10 +105,8 @@ def test_arcsine_cdf_strictly_increasing(x):
 def test_arcsine_pdf_singularities():
     assert arcsine_pdf(0.0) == math.inf
     assert arcsine_pdf(1.0) == math.inf
-    assert arcsine_modulated_pdf(0.0) == 0.0
-    assert arcsine_modulated_pdf(1.0) == 0.0
-    assert arcsine_modulated_pdf(-0.5) == 0.0
-    assert arcsine_modulated_pdf(0.3) > 0.0
+    values = arcsine_modulated_pdf(np.array([0.0, 1.0, -0.5, 0.3]))
+    assert values[:3].tolist() == [0.0, 0.0, 0.0] and values[3] > 0.0
 
 
 def test_arcsine_pdf_on_arrays_matches_floats_bit_for_bit():
@@ -120,8 +130,12 @@ def test_modulated_pdf_on_arrays_matches_floats_bit_for_bit(arcsine_density):
         [-1.0 / 16.0, math.nan],  # modulation 0 times an infinite envelope; NaN
         np.random.default_rng(9).random(20_000),
     ])
-    scalar = np.array([arcsine_modulated_pdf(v) for v in x.tolist()])
-    array = arcsine_density.evaluate_array(x[:, None])
+    # the point-wise formula, with math.sin; NaN stays NaN
+    scalar = np.array([
+        0.0 if v <= 0.0 or v >= 1.0 else (1.0 + math.sin(8.0 * math.pi * v)) * arcsine_pdf(v)
+        for v in x.tolist()
+    ])
+    array = arcsine_density.evaluate(x[:, None])
     assert array.dtype == np.float64
     assert array.tobytes() == scalar.tobytes()
 
@@ -263,17 +277,18 @@ def test_mixture_float_and_array_paths_agree(mixture_density):
     (lo, hi), _ = MIX_DOMAIN
     axis = np.linspace(lo, hi, 33)  # step 0.25: holds 0 and 2
     grid = gauss_mixture_xy(axis[:, None], axis[None, :])
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert mixture_density.evaluate(points).tobytes() == grid.tobytes()
     for i, a in enumerate(axis.tolist()):
         for j, b in enumerate(axis.tolist()):
             value = gauss_mixture_xy(a, b)
             assert type(value) is float
             assert abs(value - grid[i, j]) <= 1e-15 * grid[i, j]
-            assert mixture_density.evaluate((a, b)) == value
 
 
 def test_mixture_density_zero_outside_domain(mixture_density):
-    assert mixture_density.evaluate((4.5, 0.0)) == 0.0
-    assert mixture_density.evaluate((0.0, 0.0)) > 0.0
+    values = mixture_density.evaluate(np.array([[4.5, 0.0], [0.0, -4.5], [0.0, 0.0]]))
+    assert values[:2].tolist() == [0.0, 0.0] and values[2] > 0.0
 
 
 def test_mixture_bins_match_quadrature_oracle():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from patternblocks.rng import HAND_OUT, UniformSource
+from patternblocks.rng import UniformSource
 
 _MASK64 = (1 << 64) - 1
 
@@ -19,18 +19,21 @@ REFERENCE_WORDS = {
 
 @pytest.mark.parametrize("seed", sorted(REFERENCE_WORDS))
 def test_reference_vectors(seed):
-    source = UniformSource(seed)
-    draws = [source.next_unit() for _ in range(1_000_001)]
+    draws = UniformSource(seed).units(1_000_001).tolist()
     for index, word in REFERENCE_WORDS[seed].items():
         assert draws[index] == (word >> 11) * 2.0**-53, index
 
 
 @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1, 2**70 + 3])
 def test_hand_outs_match_raw_words(seed):
-    n = 3 * HAND_OUT + 5  # three whole hand-outs and part of a fourth
+    # next_unit hands out one word as a Python float, units an array of
+    # them, from one stream
     source = UniformSource(seed)
-    words = np.random.PCG64(seed & _MASK64).random_raw(n)
-    assert [source.next_unit() for _ in range(n)] == ((words >> 11) * 2.0**-53).tolist()
+    words = np.random.PCG64(seed & _MASK64).random_raw(1010)
+    first = [source.next_unit() for _ in range(5)]
+    drawn = first + source.units(1000).tolist() + [source.next_unit() for _ in range(5)]
+    assert all(type(u) is float for u in first)
+    assert drawn == ((words >> 11) * 2.0**-53).tolist()
 
 
 @pytest.mark.parametrize("seed, same", [(np.int64(-5), -5), (np.uint64(5), 5)])
@@ -48,17 +51,20 @@ def test_float_seed_is_rejected():
 def test_draw_counter_across_hand_outs_and_rounds():
     source = UniformSource(11)
     assert source.draws_issued == 0
-    marks = {1, HAND_OUT - 1, HAND_OUT, HAND_OUT + 1, 2 * HAND_OUT, 2 * HAND_OUT + 1}
-    for k in range(1, max(marks) + 1):
-        source.next_unit()
-        if k in marks:
-            assert source.draws_issued == k
+    source.next_unit()
+    assert source.draws_issued == 1
+    source.units(4096)
+    assert source.draws_issued == 4097
+    source.rewind(100)
+    source.next_unit()
+    assert source.draws_issued == 3998
+    source.units(0)
+    assert source.draws_issued == 3998
 
 
 @pytest.fixture(scope="module")
 def million_draws():
-    source = UniformSource(12345)
-    return np.array([source.next_unit() for _ in range(1_000_000)])
+    return UniformSource(12345).units(1_000_000)
 
 
 def test_same_seed_same_sequence():
@@ -103,10 +109,10 @@ def test_equidistribution_chi_square(million_draws):
 
 
 def test_units_rewind_and_next_unit_share_one_stream():
-    n = HAND_OUT + 100
+    n = 100
     expected = UniformSource(9).units(3 * n)
     source = UniformSource(9)
-    first = [source.next_unit() for _ in range(n)]  # leaves part of a hand-out unread
+    first = [source.next_unit() for _ in range(n)]
     block = source.units(n)
     source.rewind(n + 5)
     again = [source.next_unit() for _ in range(5)] + source.units(n).tolist()
@@ -118,24 +124,30 @@ def test_units_rewind_and_next_unit_share_one_stream():
 
 
 def test_rewind_within_and_across_hand_outs():
-    # a rewind inside next_unit's hand-out repositions in it; one past its
-    # start steps the generator back
-    expected = UniformSource(13).units(3 * HAND_OUT).tolist()
+    # a rewind steps the generator back within one units() array, across
+    # several, and over next_unit's single words; never before the start
+    expected = UniformSource(13).units(300).tolist()
     source = UniformSource(13)
-    for _ in range(HAND_OUT + 10):
+    source.units(100)
+    source.units(100)
+    for _ in range(10):
         source.next_unit()
     source.rewind(7)
-    assert source.draws_issued == HAND_OUT + 3
-    assert [source.next_unit() for _ in range(7)] == expected[HAND_OUT + 3 : HAND_OUT + 10]
+    assert source.draws_issued == 203
+    assert [source.next_unit() for _ in range(7)] == expected[203:210]
     source.rewind(10)
-    assert source.next_unit() == expected[HAND_OUT]
+    assert source.next_unit() == expected[200]
     source.rewind(0)
-    source.rewind(13)
-    assert source.draws_issued == HAND_OUT - 12
-    assert source.next_unit() == expected[HAND_OUT - 12]
+    source.rewind(113)
+    assert source.draws_issued == 88
+    assert source.next_unit() == expected[88]
     source.rewind(1)
-    assert source.units(20).tolist() == expected[HAND_OUT - 12 : HAND_OUT + 8]
-    assert source.draws_issued == HAND_OUT + 8
+    assert source.units(20).tolist() == expected[88:108]
+    assert source.draws_issued == 108
+    for k in (-1, 109):
+        with pytest.raises(ValueError):
+            source.rewind(k)
+    assert source.draws_issued == 108
 
 
 @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])

@@ -1,6 +1,8 @@
 """The sampling rounds: slot layout, exact rewind, kernels against the
 scalar samplers, and the vectorized selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,10 @@ def test_rejection_cap_counts_across_rounds(monkeypatch):
     monkeypatch.setattr(core, "ROUND", 7)
     calls = iter([1.0] * 5)
     density = Density(
-        dim=1, evaluate=lambda p: next(calls, 0.0), domain_bounds=((0.0, 1.0),), K=1.0
+        dim=1,
+        evaluate=lambda p: np.array([next(calls, 0.0) for _ in p]),
+        domain_bounds=((0.0, 1.0),),
+        K=1.0,
     )
     sampler = PatternBlockSampler(
         density, BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]), UniformSource(3)
@@ -177,16 +182,42 @@ def test_blocks_of_one_kind_share_a_kernel(zigg_blocks, mixture_blocks):
     assert len(layers) == len(disks) == 1 and base is not None and base.sample not in layers
 
 
+def _arcsine_mod_at(x):
+    if not 0.0 < x < 1.0:
+        return 0.0
+    return (1.0 + math.sin(8.0 * math.pi * x)) / (math.pi * math.sqrt(x * (1.0 - x)))
+
+
+def _mixture_at(x1, x2):
+    if not (-4.0 <= x1 <= 4.0 and -4.0 <= x2 <= 4.0):
+        return 0.0
+    return distributions.MIX_COEFF * (
+        math.exp(-x1 * x1 - x2 * x2) + 0.5 * math.exp(-((x1 - 2.0) ** 2) - (x2 - 2.0) ** 2)
+    )
+
+
+def _half_normal_at(x):
+    return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) if x >= 0.0 else 0.0
+
+
+# each target's density written point by point with math, independently
+POINTWISE = {
+    "arcsine-mod": _arcsine_mod_at,
+    "gauss-mix-2d": _mixture_at,
+    "half-normal-zigg": _half_normal_at,
+}
+
+
 def test_shipped_densities_evaluate_arrays_like_points():
+    # evaluate maps an (m, dim) array to m values, those of the point-wise
+    # formula up to the last bits of numpy's transcendentals
     rng = np.random.default_rng(3)
     for name, entry in distributions.TARGETS.items():
         density = entry.density()
-        if density.evaluate_array is None:
-            continue
         lo = [max(a, -5.0) for a, _ in density.domain_bounds]
         hi = [min(b, 5.0) for _, b in density.domain_bounds]
         points = rng.uniform(np.array(lo) - 0.5, np.array(hi) + 0.5, (2000, density.dim))
-        scalar = [density.evaluate(tuple(p)) for p in points.tolist()]
-        np.testing.assert_allclose(
-            density.evaluate_array(points), scalar, rtol=1e-13, atol=1e-14, err_msg=name
-        )
+        values = density.evaluate(points)
+        assert values.shape == (2000,) and values.dtype == np.float64, name
+        reference = [POINTWISE[name](*p) for p in points.tolist()]
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=1e-14, err_msg=name)

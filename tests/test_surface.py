@@ -64,6 +64,10 @@ def test_library_knobs_are_pinned():
         if f.default is not dataclasses.MISSING
     }
     assert defaulted == {"label", "height_band", "kernel"}
+    # one evaluate, on arrays
+    assert [f.name for f in dataclasses.fields(patternblocks.Density)] == [
+        "dim", "evaluate", "domain_bounds", "K", "K_provenance",
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +86,8 @@ def test_traced_build_spans_resolve(traced):
     [("half_normal_density", "zigg_blocks"), ("mixture_density", "mixture_blocks")],
 )
 def test_traced_copy_keeps_cover(traced, request, density_fixture, blocks_fixture):
-    # the copy's blocks and density have no kernel or array evaluation and
-    # its source overrides only next_unit, so it samples through the adapter
+    # the copy's blocks have no kernel and its source overrides only
+    # next_unit, so it samples through the adapter
     density = request.getfixturevalue(density_fixture)
     blockset = request.getfixturevalue(blocks_fixture)
     tracer = traced.Tracer()
