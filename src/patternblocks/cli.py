@@ -35,7 +35,7 @@ from .core import (
 from .output import write_rows
 from .rng import UniformSource
 
-SAMPLE_CHUNK = 4096  # rows `sample` draws and writes at a time
+SAMPLE_CHUNK = 16384  # rows `sample` draws and writes at a time
 
 
 def _sampler(args, density):

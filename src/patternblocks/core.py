@@ -348,16 +348,20 @@ def _cover_check(blockset, density, bounds, n_probe):
     grid = _probe_grid(bounds, n_probe)
     fx = _evaluate(density, np.stack(grid, axis=1))
     probed = np.flatnonzero((fx > VALIDATE_TOLERANCE) & (fx < math.inf))
+    probed = probed[np.argsort(fx[probed], kind="stable")]
     top = HEIGHT_RUNGS - 1
-    y = ((fx[probed] - VALIDATE_TOLERANCE)[:, None] * np.arange(HEIGHT_RUNGS) / top).ravel()
-    # probe r is rung r % HEIGHT_RUNGS of grid point probed[r // HEIGHT_RUNGS];
-    # int32 indices and per-block coordinates keep validate's memory small
+    # rung-major: probe q is rung q // m of grid point probed[q % m], and
+    # each rung's heights are sorted, so the stable sort merges sorted runs;
+    # int32 indices keep validate's memory small
+    m = len(probed)
+    y = (np.arange(HEIGHT_RUNGS)[:, None] * (fx[probed] - VALIDATE_TOLERANCE) / top).ravel()
     order = np.argsort(y, kind="stable").astype(np.int32)
     y = y[order]
+    point = tuple(axis[probed][order % m] for axis in grid)
     covered = np.zeros(len(y), bool)
     for i, a, b in _band_slices(blocks, y):
         lo, hi = blocks[i].height_band
-        sliced = tuple(axis[probed[order[a:b] // HEIGHT_RUNGS]] for axis in grid)
+        sliced = tuple(axis[a:b] for axis in point)
         covered[a:b] |= _contains(blocks, i, sliced, y[a:b])
         # the band contract: no height just outside the band over these points
         for edge, away in ((lo, -math.inf), (hi, math.inf)):
@@ -369,7 +373,7 @@ def _cover_check(blockset, density, bounds, n_probe):
                     "fail", f"{_block_name(blocks, i)} contains height {outside!r} "
                     f"outside its height band [{lo!r}, {hi!r}]"
                 )
-    missed = order[~covered] % HEIGHT_RUNGS
+    missed = order[~covered] // m
     if not missed.size:
         return CheckResult("pass", f"{len(y)} probes, 0 uncovered")
     return CheckResult(
@@ -406,11 +410,12 @@ def _overlap_check(blockset, dim, n_probe):
     y = y[order]
     point = tuple(points.take(order, 0).T)
     owner = owner[order]
-    counts = np.zeros(len(blocks), np.int64)
+    hit_owners = [np.empty(0, np.intp)]  # owners of the samples another block holds
     for j, a, b in _band_slices(blocks, y):
         hit = _contains(blocks, j, tuple(axis[a:b] for axis in point), y[a:b])
         others = owner[a:b]
-        counts += np.bincount(others[hit & (others != j)], minlength=len(blocks))
+        hit_owners.append(others[hit & (others != j)])
+    counts = np.bincount(np.concatenate(hit_owners), minlength=len(blocks))
     weighted = 0.0
     for block, block_hits in zip(blocks, counts.tolist()):
         # ordered-pair estimate of nu(B_i n B_j); halved below for i < j sums
@@ -446,7 +451,7 @@ def _contains(blocks, i, point, y):
             f"{_block_name(blocks, i)}: contains returned shape {inside.shape} "
             f"for {y.shape[0]} probes"
         )
-    return np.broadcast_to(inside, y.shape)
+    return inside if inside.shape == y.shape else np.broadcast_to(inside, y.shape)
 
 
 def _block_name(blocks, i):

@@ -2,9 +2,10 @@
 
 write_rows writes float64 and int64 columns as the rows of a CSV table or
 as the objects of one JSON array. A float field is repr(x), Python's
-shortest round-trip digits; an int field is str(i). The rows are
-formatted BLOCK at a time in numpy, with no Python call per float field
-but for the few the fast path below leaves to repr.
+shortest round-trip digits; an int field is str(i). The rows are laid out
+BLOCK at a time in one byte table, each field in a FIELD-byte slot that
+NUL bytes pad, and one bytes.translate deletes the padding. No Python call
+is made per float field but for the few the fast path below leaves to repr.
 
 Shortest digits (Adams 2018, "Ryu: fast float-to-string conversion", on
 numpy integers): for 1e-4 <= |x| < 1e16, where repr writes no exponent,
@@ -19,11 +20,15 @@ when x's mantissa is even never applies: for |x| in [2**e, 2**(e + 1)),
 an edge of the interval around D17 + r is an odd multiple of
 5**p * 2**(e - 53 + p), and a multiple of 10**s within half of 10**s of
 D17 + r sits on one only if e >= 54.
-Acceptance only grows with k, so k = 16, 15, ... is tried on the values
-that passed k + 1. Values the path cannot certify are formatted by repr
+Acceptance only grows with k, so k is 17 less the number of accepted
+roundings to 16, 15, ... digits: 16 and 15 are tried on every value at
+once, and 14, 13 and 12 only on the values that take 15 (about 6 % of
+random doubles). Values the path cannot certify are formatted by repr
 one at a time: those outside that range, those with zero mantissa bits
 (zeros and powers of two, whose interval is lopsided), ties (D17 + r
-halfway between two k-digit roundings), NaN and the infinities.
+halfway between two k-digit roundings), those of 12 digits or fewer, NaN
+and the infinities. So for k >= 13 the digits past k are the trailing
+zeros of the last four, which one table lookup writes as NULs.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from __future__ import annotations
 import numpy as np
 
 FIELD = 24  # widest str of a float64 or int64: "-2.2250738585072014e-308"
-BLOCK = 4096  # most rows formatted at once, which bounds the temporaries
+BLOCK = 8192  # most rows laid out at once, which bounds the temporaries
 
 _MANTISSA = (1 << 52) - 1
+_EXPONENT = 0x7FF << 52
 _POW10 = np.array([10.0**p for p in range(23)])  # exact doubles
 
 
@@ -46,158 +52,166 @@ def _split(a):
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
-# A field is gathered from a 20-byte source row per value: digits 2-17 of
-# a 17-digit integer as four 4-digit groups, then its first digit, "0",
-# "." and "-". _QUAD[g] is the group g in ASCII and _LEAD[d] the last four
-# bytes, each as one native uint32, so a group costs one 1-D gather.
+# By D17's last three digits: its last digit, and its signed distance to
+# the nearest multiple of 100. A distance past 32 exceeds every half ulp
+# (below 11.2), so it is clipped there, which keeps its sum with r exact.
+_LAST3 = np.arange(1000)
+_UNITS = (_LAST3 % 10).astype(float)
+_NEAR100 = np.clip((_LAST3 + 50) % 100 - 50, -32, 32).astype(float)
+
+
+def _words(quads, half):
+    """Each 4-byte row of quads in the given half of a native uint64 word,
+    NULs in the other."""
+    words = np.zeros((len(quads), 2), np.uint32)
+    words[:, half] = quads.view(np.uint32)[:, 0]
+    return words.view(np.uint64)[:, 0]
+
+
+# A slot is three words. The first holds the text before digit 2: the
+# sign, "0." and the zeros of |x| < 1, the first digit and, for
+# 1 <= |x| < 10, the point. The other two hold digits 2-9 and 10-17, each
+# the OR of two 4-digit groups: one from _QUAD_LOW, the other from
+# _QUAD_HIGH or, for the last, _TAIL_HIGH, which writes trailing zeros as
+# NULs.
 _QUAD = np.empty((10, 10, 10, 10, 4), np.uint8)
 for _j in range(4):
     _QUAD[..., _j] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - _j))
-_QUAD = _QUAD.view(np.uint32).ravel()
-_LEAD = np.frombuffer(b"".join(b"%d0.-" % d for d in range(10)), np.uint32)
-_SOURCE = 20
-_DIGITS = [16] + list(range(16))  # source byte of each of the 17 digits
-_ZERO, _DOT, _MINUS = 17, 18, 19
-_COLUMNS = np.arange(FIELD)
-_ROW = np.dtype((np.void, FIELD))  # one field's bytes as a single item
+_QUAD = _QUAD.reshape(-1, 4)
+_QUAD_LOW, _QUAD_HIGH = _words(_QUAD, 0), _words(_QUAD, 1)
+# digit j of group g is one of its trailing zeros when g % 10**(4 - j) == 0
+_TAIL_HIGH = _words(_QUAD * (np.arange(10**4)[:, None] % np.array([10**4, 1000, 100, 10]) != 0), 1)
 
 
-def _templates(bodies):
-    """Source bytes of each field layout, unsigned and signed: row 2 * i + neg."""
-    rows = []
-    for body in bodies:
-        for signed in ([], [_MINUS]):
-            row = signed + body
-            rows.append(row + [_ZERO] * (FIELD - len(row)))
-    return np.array(rows, np.intp)
+def _prefix(p, neg, d0):
+    """The text before digit 2 of a value with first digit d0 and point at
+    decpt = 17 - p (x = 0.d1d2... * 10**decpt)."""
+    decpt, sign = 17 - p, "-" * neg
+    if decpt <= 0:
+        return sign + "0." + "0" * -decpt + str(d0)
+    return sign + str(d0) + ("." if decpt == 1 else "")
 
 
-# layouts by decimal point position decpt = -3 .. 16: x = 0.d1d2... * 10**decpt
-_LAYOUTS = _templates(
-    [_ZERO, _DOT] + [_ZERO] * -decpt + _DIGITS if decpt <= 0
-    else _DIGITS[:decpt] + [_DOT] + _DIGITS[decpt:]
-    for decpt in range(-3, 17)
-)
+# by 20 * p + 10 * neg + d0, for the p of 1e-4 <= |x| < 1e16 (0 to 20)
+_PREFIX = np.frombuffer(b"".join(
+    _prefix(p, neg, d0).encode().ljust(8, b"\0") for p in range(21) for neg in (0, 1) for d0 in range(10)
+), np.uint64)
 
 
-def _lay_out(chars, digits, code):
-    """Fill chars, an (n, FIELD) byte array: row i laid out as
-    _LAYOUTS[code[i]] over the 17 digits of digits[i], an int64 below
-    10**17 with leading zeros. Each layout takes one column gather over
-    its rows."""
-    n = len(digits)
-    first, rest = np.divmod(digits, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    source = np.empty((n, _SOURCE // 4), np.uint32)
-    for column, group in enumerate((*np.divmod(high, 10**4), *np.divmod(low, 10**4))):
-        source[:, column] = _QUAD[group]
-    source[:, 4] = _LEAD[first]
-    source = source.view(np.uint8)
-    # rows are gathered with take and scattered with put, as one FIELD-byte
-    # void each: numpy's 2-D fancy indexing costs several times more
-    fields = chars.view(_ROW)[:, 0]
-    for c in np.flatnonzero(np.bincount(code)).tolist():
-        rows = np.flatnonzero(code == c)
-        laid = source.take(rows, 0).take(_LAYOUTS[c], axis=1)
-        fields.put(rows, laid.view(_ROW)[:, 0])
+def _relayouts():
+    """(move, fill) by code 2 * p + neg, for 2 <= decpt <= 16.
+
+    The slot of such a value holds its text with the point missing: the
+    sign, the first digit, NULs to byte 8, then digits 2-17. It is laid out
+    again by a gather over the slot: move[code] holds the slot byte of each
+    text byte (byte 7, a NUL, for the point and the padding), and fill[code]
+    is ORed in. fill writes the point, and "0" (0x30) over the digits
+    through the first after the point, which the NULs of trailing zeros
+    may have blanked for decpt >= 13; ORing 0x30 into a digit leaves it."""
+    move = np.full((32, FIELD), 7, np.intp)
+    fill = np.zeros((32, FIELD), np.uint8)
+    for p in range(1, 16):
+        for neg in (0, 1):
+            code, decpt = 2 * p + neg, 17 - p
+            digits = [neg] + list(range(8, 24))  # slot byte of each of the 17 digits
+            text = [0] * neg + digits[:decpt] + [7] + digits[decpt:]
+            move[code, :len(text)] = text
+            fill[code, neg:neg + decpt + 2] = ord("0")
+            fill[code, neg + decpt] = ord(".")
+    return move, fill
 
 
-def _put_repr(chars, lengths, values, rows):
-    """Field i of values, for each i in rows, formatted by str() one at a time."""
-    texts = [str(v).encode() for v in values[rows].tolist()]
-    padded = b"".join(text.ljust(FIELD) for text in texts)
-    chars[rows] = np.frombuffer(padded, np.uint8).reshape(-1, FIELD)
-    lengths[rows] = [len(t) for t in texts]
+_MOVE, _FILL = _relayouts()
+_SLOT = np.dtype((np.void, FIELD))  # one slot's bytes as a single item
 
 
-def _shortest(d17, r, half_ulp):
-    """(digits, k, tie): the shortest rounding of d17 + r to k significant
-    digits closer than half_ulp to it, as a 17-digit integer; tie marks a
-    rounding from exactly halfway."""
-    digits = d17.copy()
-    k = np.full(len(d17), 17)
-    tie = np.abs(r) == 0.5
-    rows = np.arange(len(d17))
-    for s in range(1, 17):
-        step = 10**s
-        q = d17 // step
-        rem = d17 - q * step
-        # distances down and up to the two roundings, exact below 32;
-        # past it they exceed every half_ulp, which is below 11.2
-        down = np.minimum(rem, 32) + r
-        up = np.minimum(step - rem, 32) - r
-        fits = np.minimum(down, up) < half_ulp
-        if not fits.any():
-            break
-        rows = rows[fits]
-        digits[rows] = ((q + (up < down)) * step)[fits]
-        k[rows] = 17 - s
-        tie[rows] = (up == down)[fits]
-        d17, r, half_ulp = d17[fits], r[fits], half_ulp[fits]
-    return digits, k, tie
-
-
-def _float_fields(x, chars):
-    """Fill chars (n, FIELD) with repr(x[i]) in the first lengths[i] bytes
-    of row i, and return lengths."""
-    x = np.ascontiguousarray(x, np.float64)
+def _shortest(x):
+    """(fast, p, digits) for float64 x: fast marks the values whose digits
+    this path certifies; digits is their shortest rounding, as a 17-digit
+    integer that scaled by 10**-p is that value."""
     ax = np.abs(x)
-    bits = x.view(np.int64)
+    bits = ax.view(np.int64)
     fast = (ax >= 1e-4) & (ax < 1e16) & ((bits & _MANTISSA) != 0)
     ax = np.where(fast, ax, 1.5)
     p = 16 - np.floor(np.log10(ax)).astype(np.intp)
     # x * 10**p = hi + lo exactly (Dekker's two-product)
-    scale = _POW10[p]
+    scale = _POW10.take(p)
     hi = ax * scale
     ah, al = _split(ax)
-    sh, sl = _POW10_HI[p], _POW10_LO[p]
+    sh, sl = _POW10_HI.take(p), _POW10_LO.take(p)
     lo = al * sl - (((hi - ah * sh) - al * sh) - ah * sl)
     # hi is an integer (it is at least 2**53), and so is D17
     rounded = np.rint(lo)
     d17 = hi.astype(np.int64) + rounded.astype(np.int64)
-    half_ulp = np.spacing(ax) * (0.5 * scale)
-    digits, k, tie = _shortest(d17, lo - rounded, half_ulp)
+    r = lo - rounded
+    # half an ulp of |x| in [2**e, 2**(e + 1)), 2**(e - 53) from its
+    # exponent bits, scaled by 10**p
+    half_ulp = ((ax.view(np.int64) & _EXPONENT) - (53 << 52)).view(np.float64) * scale
+    last3 = d17 - d17 // 1000 * 1000
+    # D17 + r lies v above the multiple of 10 at or below D17, v in [-1/2, 19/2]
+    units = _UNITS.take(last3)
+    v = units + r
+    fit = np.minimum(np.abs(v), 10.0 - v) < half_ulp  # 16 digits
+    offset = (units - 10.0 * (v > 5.0)) * fit  # D17 less its rounding
+    near = _NEAR100.take(last3)
+    fit = np.abs(near + r) < half_ulp  # 15 digits
+    np.copyto(offset, near, where=fit)
+    # 14 digits and fewer are tried on the values that take 15, about 6 %
+    rows = np.flatnonzero(fit)
+    for step in (10**3, 10**4, 10**5):
+        near = np.clip((d17.take(rows) + step // 2) % step - step // 2, -32, 32)
+        fit = np.abs(near + r.take(rows)) < half_ulp.take(rows)
+        rows = rows[fit]
+        offset[rows] = near[fit]
+    digits = d17 - offset.astype(np.int64)
+    # r = +-1/2 or v = 5: a tie at 17 or 16 digits, and the few others so flagged
+    tie = (np.abs(r) == 0.5) | (v == 5.0)
     # a D17 off 17 digits (log10 rounded across a power of ten) or a carry to 10**17
     fast &= ~tie & (d17 >= 10**16) & (digits < 10**17)
-    decpt = 17 - p
-    neg = (bits < 0).astype(np.intp)
-    lengths = np.where(decpt <= 0, 2 - decpt + k, np.maximum(k + 1, decpt + 2)) + neg
-    code = np.where(fast, 2 * decpt + 6, 0) + neg
-    _lay_out(chars, np.where(fast, digits, 0), code)
-    _put_repr(chars, lengths, x, np.flatnonzero(~fast))
-    return lengths
+    # 12 digits or fewer: trailing zeros past the last four digits
+    fast[rows] = False
+    return fast, p, digits
 
 
-def _int_fields(v, chars):
-    """Fill chars (n, FIELD) with str(v[i]) in the first lengths[i] bytes
-    of row i, and return lengths."""
-    lengths = np.empty(len(v), np.intp)
-    _put_repr(chars, lengths, v, np.arange(len(v)))
-    return lengths
+def _float_fields(x, slots):
+    """Fill slots, an (n, FIELD) byte array, with repr(x[i]) in row i,
+    NUL-padded."""
+    x = np.ascontiguousarray(x, np.float64)
+    fast, p, digits = _shortest(x)
+    neg = x.view(np.int64) < 0
+    head8 = digits // 10**8  # digits 1-9
+    tail8 = digits - head8 * 10**8  # digits 10-17
+    d0 = head8 // 10**8
+    mid8 = head8 - d0 * 10**8
+    words = slots.view(np.uint64)
+    # clip: a value left to repr may index past the table
+    words[:, 0] = _PREFIX.take(20 * p + 10 * neg + d0, mode="clip")
+    for column, eight, tail in ((1, mid8, _QUAD_HIGH), (2, tail8, _TAIL_HIGH)):
+        high = eight // 10**4
+        words[:, column] = _QUAD_LOW.take(high) | tail.take(eight - high * 10**4)
+    fields = slots.view(_SLOT)[:, 0]
+    # decpt >= 2 (p <= 15): the point falls among digits 2-17
+    moved = np.flatnonzero(fast & (p <= 15))
+    if moved.size:
+        codes = 2 * p.take(moved) + neg.take(moved)
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            rows = moved[codes == code]
+            text = fields.take(rows).view(np.uint8).reshape(-1, FIELD)
+            fields[rows] = (text.take(_MOVE[code], axis=1) | _FILL[code]).view(_SLOT)[:, 0]
+    _put_repr(fields, x, np.flatnonzero(~fast))
 
 
-def _rows(columns, leads, end):
-    """Row bytes of the columns: leads[j] and then field j for each column,
-    then end. An int column is written as ints, any other as floats."""
-    n = len(columns[0])
-    width = sum(len(lead) + FIELD for lead in leads) + len(end)
-    table = np.empty((n, width), np.uint8)
-    keep = np.ones((n, width), bool)
-    at = 0
-    for column, lead in zip(columns, leads):
-        table[:, at:at + len(lead)] = np.frombuffer(lead, np.uint8)
-        at += len(lead)
-        column = np.asarray(column)
-        fields = _int_fields if column.dtype.kind == "i" else _float_fields
-        chars = np.empty((n, FIELD), np.uint8)
-        lengths = fields(column, chars)
-        table[:, at:at + FIELD] = chars
-        # compared as (FIELD, n) and transposed: numpy broadcasts a short
-        # last axis several times slower
-        keep[:, at:at + FIELD] = (_COLUMNS[:, None] < lengths).T
-        at += FIELD
-    table[:, at:] = np.frombuffer(end, np.uint8)
-    return table[keep].tobytes()
+def _int_fields(v, slots):
+    """Fill slots, an (n, FIELD) byte array, with str(v[i]) in row i,
+    NUL-padded."""
+    _put_repr(slots.view(_SLOT)[:, 0], v, np.arange(len(v)))
+
+
+def _put_repr(fields, values, rows):
+    """Field i of values, for each i in rows, formatted by str() one at a time."""
+    if rows.size:
+        texts = b"".join(str(v).encode().ljust(FIELD, b"\0") for v in values[rows].tolist())
+        fields[rows] = np.frombuffer(texts, _SLOT)
 
 
 def write_rows(out, chunks, names, fmt):
@@ -215,11 +229,23 @@ def write_rows(out, chunks, names, fmt):
         leads = [f', {{"{names[0]}": '] + [f', "{name}": ' for name in names[1:]]
         end = "}"
         skip = 2  # the ", " before the first object
-    leads, end = [lead.encode() for lead in leads], end.encode()
+    # a row of the table: each lead, then its field's slot; then end
+    starts = np.cumsum([0] + [len(lead) + FIELD for lead in leads]).tolist()
+    table = np.empty((BLOCK, starts[-1] + len(end)), np.uint8)
+    for start, lead in zip(starts, leads):
+        table[:, start:start + len(lead)] = np.frombuffer(lead.encode(), np.uint8)
+    table[:, starts[-1]:] = np.frombuffer(end.encode(), np.uint8)
     out.write(head)
     for columns in chunks:
-        for start in range(0, len(columns[0]), BLOCK):
-            block = _rows([c[start:start + BLOCK] for c in columns], leads, end)
-            out.write(block[skip:].decode("ascii"))
+        columns = [np.asarray(column) for column in columns]
+        n = len(columns[0])
+        for begin in range(0, n, BLOCK):
+            rows = table[:min(BLOCK, n - begin)]
+            for column, start, lead in zip(columns, starts, leads):
+                fields = _int_fields if column.dtype.kind == "i" else _float_fields
+                at = start + len(lead)
+                fields(column[begin:begin + BLOCK], rows[:, at:at + FIELD])
+            text = rows.tobytes().translate(None, b"\0")
+            out.write(text[skip:].decode("ascii"))
             skip = 0
     out.write(tail)

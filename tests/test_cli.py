@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from patternblocks import distributions
+from patternblocks import cli, distributions, output
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.cli import _parser, main
 from patternblocks.distributions import B0, B1, B2, B3
@@ -84,8 +84,8 @@ GOLDEN_ZIGG_TABLE_128_SHA256 = "8303f61b1911a43735ba23e8993610607bb89aab804971f6
 
 
 # Longer runs, generated the same way. Their streams cross many sampling
-# rounds (about 30k and 16k attempts) and several 4096-row output chunks;
-# the JSON runs pin that format. The zigg JSON digest dates from commit
+# rounds (about 30k and 16k attempts), the zigg runs two 16384-row sample
+# chunks and four 8192-row output blocks; the JSON runs pin that format. The zigg JSON digest dates from commit
 # 7ec4c8d, the last with a per-row str.format writer.
 GOLDEN_LONG_SAMPLE_SHA256 = {
     ("half-normal-zigg", 30000, "csv"): "1fba23b109a7e093306acf7042172778fdcefda6a502dcb87194838ac584ca7c",
@@ -115,6 +115,18 @@ def test_long_sample_matches_golden_digest(tmp_path, capsys, dist, n, fmt):
     assert code == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_LONG_SAMPLE_SHA256[dist, n, fmt]
+
+
+@pytest.mark.parametrize("dist", sorted(distributions.TARGETS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_bytes_do_not_depend_on_chunk_sizes(capsys, monkeypatch, dist, fmt):
+    argv = ["sample", "--dist", dist, "--n", "300", "--seed", "9", "--format", fmt]
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)
+    monkeypatch.setattr(output, "BLOCK", 13)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 # `sample --n 0` writes the header alone, as it did at commit 7ec4c8d

@@ -77,6 +77,13 @@ def test_short_decimals_match_repr():
     # few significant digits: the search runs down to k = 1
     rng = np.random.default_rng(7)
     values = rng.integers(-(10**6), 10**6, 50_000) / 10.0 ** rng.integers(0, 10, 50_000)
+    # the nearest double to each k-digit decimal, k = 1 .. 17, at every
+    # point position of the fast path (1e-4 <= |x| < 1e16), either sign
+    k = rng.integers(1, 18, 100_000)
+    exponent = rng.integers(-4, 16, 100_000) - k + 1
+    mantissa = rng.integers(10 ** (k - 1), 10**k) * rng.choice([-1, 1], 100_000)
+    scaled = np.where(exponent < 0, mantissa / 10.0 ** -exponent, mantissa * 10.0 ** exponent)
+    values = np.concatenate([values, scaled])
     assert reprs(values) == [repr(v) for v in values.tolist()]
 
 
@@ -96,10 +103,11 @@ def _columns(rng, n, kinds):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("names", [["x"], ["x1", "x2"], ["i", "x", "f", "area"]])
 def test_rows_match_the_per_row_reference(fmt, names):
-    # chunks of several sizes, one of them more than BLOCK rows
+    # chunks of several sizes, on both sides of BLOCK rows and past twice it
     rng = np.random.default_rng(len(names))
     kinds = ["int", "float", "float", "float"] if len(names) == 4 else ["float"] * len(names)
-    chunks = [_columns(rng, n, kinds) for n in (1, 5, BLOCK + 3, 100)]
+    sizes = (1, 5, BLOCK + 3, 100, BLOCK - 1, BLOCK, 2 * BLOCK + 1)
+    chunks = [_columns(rng, n, kinds) for n in sizes]
     assert written(chunks, names, fmt) == reference_rows(chunks, names, fmt)
 
 
