@@ -29,7 +29,7 @@ from .core import (
     select_block,
     validate_blockset,
 )
-from .numeric import GofReport, chi_square_gof, quad_2d_grid
+from .numeric import GofReport, chi_square_gof
 from .rng import UniformSource
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "cylinder_block",
     "envelope_block",
     "exact_adoption_rate",
-    "quad_2d_grid",
     "rect_block",
     "select_block",
     "slab_block",

@@ -304,6 +304,8 @@ def validate_blockset(
       cover       on a cell-centered quasi-grid of n_probe points x, every
                   probe (x, y) lies in some block, for HEIGHT_RUNGS evenly
                   spaced heights y from 0 to f(x) - VALIDATE_TOLERANCE;
+                  it fails when no grid point has a finite f(x) above
+                  VALIDATE_TOLERANCE, as it then checks nothing;
       overlap     Monte Carlo: uniform samples of each block must not land
                   in any other block (pairwise intersections have measure
                   zero, so interior double-hits indicate real overlap).
@@ -348,6 +350,12 @@ def _cover_check(blockset, density, bounds, n_probe):
     grid = _probe_grid(bounds, n_probe)
     fx = _evaluate(density, np.stack(grid, axis=1))
     probed = np.flatnonzero((fx > VALIDATE_TOLERANCE) & (fx < math.inf))
+    if not probed.size:
+        # a grid with nothing under the graph checks nothing, so it cannot pass
+        return CheckResult(
+            "fail", f"0 probes: no grid point in probe bounds {bounds!r} "
+            f"has {VALIDATE_TOLERANCE:g} < f(x) < inf"
+        )
     probed = probed[np.argsort(fx[probed], kind="stable")]
     top = HEIGHT_RUNGS - 1
     # rung-major: probe q is rung q // m of grid point probed[q % m], and
@@ -501,9 +509,6 @@ class PatternBlockSampler:
         self._cumulative = np.array(blockset.cumulative)
         self._guide = guide_table(self._cumulative)
         self._kinds = _Kinds(blockset.blocks, density.dim)
-
-    def sample_one(self) -> Point:
-        return self.sample_many(1)[0]
 
     def sample_many(self, n: int) -> list[Point]:
         """n accepted points as tuples of floats: sample_array's rows."""

@@ -8,8 +8,9 @@ NUL bytes pad, and one bytes.translate deletes the padding. No Python call
 is made per float field but for the few the fast path below leaves to repr.
 
 Shortest digits (Adams 2018, "Ryu: fast float-to-string conversion", on
-numpy integers): for 1e-4 <= |x| < 1e16, where repr writes no exponent,
-x * 10**p with p = 16 - floor(log10 |x|) is a 17-digit number, taken
+numpy integers): for 1e-4 <= |x| < 10, the range of every float the CLI
+writes, where repr writes no exponent and at most one digit before the
+point, x * 10**p with p = 16 - floor(log10 |x|) is a 17-digit number, taken
 exactly as hi + lo by Dekker's two-product (10**p is exact for p <= 22)
 and split into the integer D17 and a residual r in [-1/2, 1/2]. The
 digits are those of the shortest rounding of D17 + r to k significant
@@ -89,39 +90,13 @@ def _prefix(p, neg, d0):
     decpt, sign = 17 - p, "-" * neg
     if decpt <= 0:
         return sign + "0." + "0" * -decpt + str(d0)
-    return sign + str(d0) + ("." if decpt == 1 else "")
+    return sign + str(d0) + "."
 
 
-# by 20 * p + 10 * neg + d0, for the p of 1e-4 <= |x| < 1e16 (0 to 20)
+# by 20 * (p - 16) + 10 * neg + d0, for the p of 1e-4 <= |x| < 10 (16 to 20)
 _PREFIX = np.frombuffer(b"".join(
-    _prefix(p, neg, d0).encode().ljust(8, b"\0") for p in range(21) for neg in (0, 1) for d0 in range(10)
+    _prefix(p, neg, d0).encode().ljust(8, b"\0") for p in range(16, 21) for neg in (0, 1) for d0 in range(10)
 ), np.uint64)
-
-
-def _relayouts():
-    """(move, fill) by code 2 * p + neg, for 2 <= decpt <= 16.
-
-    The slot of such a value holds its text with the point missing: the
-    sign, the first digit, NULs to byte 8, then digits 2-17. It is laid out
-    again by a gather over the slot: move[code] holds the slot byte of each
-    text byte (byte 7, a NUL, for the point and the padding), and fill[code]
-    is ORed in. fill writes the point, and "0" (0x30) over the digits
-    through the first after the point, which the NULs of trailing zeros
-    may have blanked for decpt >= 13; ORing 0x30 into a digit leaves it."""
-    move = np.full((32, FIELD), 7, np.intp)
-    fill = np.zeros((32, FIELD), np.uint8)
-    for p in range(1, 16):
-        for neg in (0, 1):
-            code, decpt = 2 * p + neg, 17 - p
-            digits = [neg] + list(range(8, 24))  # slot byte of each of the 17 digits
-            text = [0] * neg + digits[:decpt] + [7] + digits[decpt:]
-            move[code, :len(text)] = text
-            fill[code, neg:neg + decpt + 2] = ord("0")
-            fill[code, neg + decpt] = ord(".")
-    return move, fill
-
-
-_MOVE, _FILL = _relayouts()
 _SLOT = np.dtype((np.void, FIELD))  # one slot's bytes as a single item
 
 
@@ -131,7 +106,7 @@ def _shortest(x):
     integer that scaled by 10**-p is that value."""
     ax = np.abs(x)
     bits = ax.view(np.int64)
-    fast = (ax >= 1e-4) & (ax < 1e16) & ((bits & _MANTISSA) != 0)
+    fast = (ax >= 1e-4) & (ax < 10.0) & ((bits & _MANTISSA) != 0)
     ax = np.where(fast, ax, 1.5)
     p = 16 - np.floor(np.log10(ax)).astype(np.intp)
     # x * 10**p = hi + lo exactly (Dekker's two-product)
@@ -184,20 +159,12 @@ def _float_fields(x, slots):
     d0 = head8 // 10**8
     mid8 = head8 - d0 * 10**8
     words = slots.view(np.uint64)
-    # clip: a value left to repr may index past the table
-    words[:, 0] = _PREFIX.take(20 * p + 10 * neg + d0, mode="clip")
+    # clip: a value left to repr may index outside the table
+    words[:, 0] = _PREFIX.take(20 * (p - 16) + 10 * neg + d0, mode="clip")
     for column, eight, tail in ((1, mid8, _QUAD_HIGH), (2, tail8, _TAIL_HIGH)):
         high = eight // 10**4
         words[:, column] = _QUAD_LOW.take(high) | tail.take(eight - high * 10**4)
     fields = slots.view(_SLOT)[:, 0]
-    # decpt >= 2 (p <= 15): the point falls among digits 2-17
-    moved = np.flatnonzero(fast & (p <= 15))
-    if moved.size:
-        codes = 2 * p.take(moved) + neg.take(moved)
-        for code in np.flatnonzero(np.bincount(codes)).tolist():
-            rows = moved[codes == code]
-            text = fields.take(rows).view(np.uint8).reshape(-1, FIELD)
-            fields[rows] = (text.take(_MOVE[code], axis=1) | _FILL[code]).view(_SLOT)[:, 0]
     _put_repr(fields, x, np.flatnonzero(~fast))
 
 

@@ -18,7 +18,8 @@ from patternblocks import cli, distributions, output
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.cli import _parser, main
 from patternblocks.distributions import B0, B1, B2, B3
-from patternblocks.core import BlockSet, Density
+from patternblocks.core import BlockSet, Density, PatternBlockSampler
+from patternblocks.rng import UniformSource
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,56 @@ def test_sample_matches_golden_digest(tmp_path, capsys, dist, n):
     )
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[dist, n]
+
+
+# SHA-256 of the float64 bytes (little-endian, row-major) of
+# sample_array(n) at seed 42 for each run above, generated at commit
+# 9a0dc35 the same way. They pin the sampler apart from the writer: a
+# writer fault fails only the output digest, a sampler fault fails both.
+GOLDEN_SAMPLE_ARRAY_SHA256 = {
+    ("arcsine-mod", 2000): "308fb4e230c77c2ad528b1f04b85e8c29a905ba530b1704dbc981885112d253e",
+    ("half-normal-zigg", 2000): "678f190bdfad66b849ea7aa819324cd2c2661d4e6459cd02b3d67045292379c7",
+    ("gauss-mix-2d", 1000): "59ebe6453ea8e099fea293450a53c878b276f58ac33abe442704b114cac77dbd",
+}
+
+
+@pytest.mark.parametrize(("dist", "n"), sorted(GOLDEN_SAMPLE_SHA256))
+def test_sample_array_matches_golden_digest(dist, n):
+    target = distributions.TARGETS[dist]
+    density = target.density()
+    points = PatternBlockSampler(density, target.cover(), UniformSource(42)).sample_array(n)
+    assert points.dtype == np.float64 and points.shape == (n, density.dim)
+    assert hashlib.sha256(points.tobytes()).hexdigest() == GOLDEN_SAMPLE_ARRAY_SHA256[dist, n]
+
+
+def test_written_floats_stay_on_the_writer_fast_path(tmp_path, capsys, monkeypatch):
+    # output's fast path covers 1e-4 <= |x| < 10 and leaves the rest to
+    # repr, one Python call per field; a target or table whose values
+    # leave that range fails here. At seed 42, 0.18 % of the fields go to
+    # repr, most of them the 0.66 % of arcsine points below 1e-4.
+    seen = {"fields": 0, "repr": 0, "largest": 0.0}
+    float_fields, put_repr = output._float_fields, output._put_repr
+
+    def counted_float_fields(x, slots):
+        seen["fields"] += len(x)
+        seen["largest"] = max(seen["largest"], float(np.abs(x).max(initial=0.0)))
+        float_fields(x, slots)
+
+    def counted_put_repr(fields, values, rows):
+        if values.dtype.kind == "f":
+            seen["repr"] += rows.size
+        put_repr(fields, values, rows)
+
+    monkeypatch.setattr(output, "_float_fields", counted_float_fields)
+    monkeypatch.setattr(output, "_put_repr", counted_put_repr)
+    runs = [("sample", "--dist", dist, "--n", "100000", "--seed", "42") for dist in distributions.TARGETS]
+    runs += [("zigg-table", "--layers", layers) for layers in ("2", "128")]
+    for argv in runs:
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0, argv
+    assert seen["fields"] > 400_000
+    assert seen["largest"] < 10.0
+    assert seen["repr"] < 0.005 * seen["fields"], seen
 
 
 @pytest.mark.parametrize(("dist", "n", "fmt"), sorted(GOLDEN_LONG_SAMPLE_SHA256))

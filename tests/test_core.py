@@ -241,7 +241,7 @@ def test_rejection_cap_fires(monkeypatch):
     monkeypatch.setattr(core, "REJECTION_CAP", 500)
     sampler = PatternBlockSampler(density, blockset, UniformSource(0))
     with pytest.raises(RejectionCapError):
-        sampler.sample_one()
+        sampler.sample_many(1)
 
 
 def _scripted_density(values):
@@ -282,14 +282,6 @@ def test_cap_counts_consecutive_rejections_per_sample(monkeypatch):
     with pytest.raises(RejectionCapError):
         sampler.sample_many(100)
     assert (sampler.accepted, sampler.attempts) == (0, 2)
-
-
-def test_sample_one_continues_the_batch_stream():
-    density, blockset = _uniform_density(), BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)])
-    one = PatternBlockSampler(density, blockset, UniformSource(8))
-    many = PatternBlockSampler(density, blockset, UniformSource(8))
-    assert [one.sample_one() for _ in range(50)] == many.sample_many(50)
-    assert (one.accepted, one.attempts) == (many.accepted, many.attempts)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.25])
@@ -430,6 +422,10 @@ def _reference_cover(blockset, density, bounds, n_probe, tolerance=1e-12, rungs=
             if not any(b.contains(point, y) for b in blockset.blocks):
                 violations += 1
                 missed.add(j / (rungs - 1))
+    if checked == 0:
+        return CheckResult(
+            "fail", f"0 probes: no grid point in probe bounds {bounds!r} has {tolerance:g} < f(x) < inf"
+        )
     if violations == 0:
         return CheckResult("pass", f"{checked} probes, 0 uncovered")
     return CheckResult(
@@ -544,6 +540,22 @@ def test_validate_matches_reference_on_broken_covers(
     ])
     truncated = _assert_matches_reference(short_strips, arcsine_density, 20_000)
     assert truncated.cover.status == "fail"
+
+
+def test_validate_fails_a_cover_check_with_no_probes(
+    arcsine_density, arcsine_blocks, half_normal_density, zigg_blocks
+):
+    # probe bounds where f is 0 everywhere leave the cover check nothing to probe
+    for blockset, density, bounds in (
+        (zigg_blocks, half_normal_density, ((-9.0, -1.0),)),
+        (arcsine_blocks, arcsine_density, ((2.0, 3.0),)),
+    ):
+        report = validate_blockset(blockset, density, n_probe=1000, probe_bounds=bounds)
+        assert report.cover == _reference_cover(blockset, density, bounds, 1000)
+        assert report.cover == CheckResult(
+            "fail", f"0 probes: no grid point in probe bounds {bounds!r} has 1e-12 < f(x) < inf"
+        )
+        assert not report.all_passed()
 
 
 @st.composite

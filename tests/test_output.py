@@ -78,7 +78,8 @@ def test_short_decimals_match_repr():
     rng = np.random.default_rng(7)
     values = rng.integers(-(10**6), 10**6, 50_000) / 10.0 ** rng.integers(0, 10, 50_000)
     # the nearest double to each k-digit decimal, k = 1 .. 17, at every
-    # point position of the fast path (1e-4 <= |x| < 1e16), either sign
+    # point position of 1e-4 <= |x| < 1e16, either sign: the fast path
+    # takes 1e-4 <= |x| < 10, repr the rest
     k = rng.integers(1, 18, 100_000)
     exponent = rng.integers(-4, 16, 100_000) - k + 1
     mantissa = rng.integers(10 ** (k - 1), 10**k) * rng.choice([-1, 1], 100_000)

@@ -28,7 +28,6 @@ PUBLIC = [
     "cylinder_block",
     "envelope_block",
     "exact_adoption_rate",
-    "quad_2d_grid",
     "rect_block",
     "select_block",
     "slab_block",
