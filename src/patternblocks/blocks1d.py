@@ -8,8 +8,10 @@ reproduce the classical ziggurat sampler. Rectangles and strips carry
 array kernels, each written once for floats and arrays: the strips'
 inverse CDF and envelope take numpy arrays whole. The ziggurat base's
 kernel samples its rectangle part on arrays and hands only its tail
-attempts (a few a round) to its scalar sampler, through the sampler's
-adapter. Every membership test is one formula for floats and arrays.
+attempts (a few a round) to its scalar sampler, through core's adapter,
+which reports the overflow units each of them read; the rectangle
+attempts read none. Every membership test is one formula for floats and
+arrays.
 """
 
 from __future__ import annotations
@@ -238,11 +240,9 @@ def ziggurat_base_block(layout: ZigguratLayout, f: Callable[[float], float]) -> 
         rows = np.flatnonzero(units[:, 0] >= p_rect)
         if not rows.size:
             return (x,), y, None
-        (x[rows],), y[rows], used = tail(params.take(rows, 0), units.take(rows, 0), overflow)
-        # overflow units read through each attempt
-        through = np.zeros(len(x), np.int64)
-        through[rows] = used
-        return (x,), y, np.maximum.accumulate(through)
+        used = np.zeros(len(x), np.int64)
+        (x[rows],), y[rows], used[rows] = tail(params.take(rows, 0), units.take(rows, 0), overflow)
+        return (x,), y, used
 
     def contains(point, y):
         x = point[0]

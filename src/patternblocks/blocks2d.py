@@ -138,7 +138,7 @@ def superlevel_block(
         if not missed.size:
             return (x1, x2), None
         cap = INNER_CAP
-        found = []  # (x1, x2, overflow pairs read through each) of the pairs that clear
+        found = []  # (x1, x2, overflow units its attempt read) of the pairs that clear
         wanted = missed.size
         read = last = 0  # overflow pairs read, and read through the last pair that cleared
         while wanted:
@@ -149,19 +149,16 @@ def superlevel_block(
             through = read + 1 + cleared
             # an attempt spends its slot pair, then the pairs since the last one that cleared
             gaps = np.diff(through, prepend=last)
-            found.append((b1[cleared], b2[cleared], through))
+            found.append((b1[cleared], b2[cleared], 2 * gaps))
             read += batch
             wanted -= cleared.size
             if cleared.size:
                 last = int(through[-1])
             if np.any(gaps >= cap) or (wanted and 1 + read - last >= cap):
                 _exhausted()
-        f1, f2, through = (np.concatenate(parts) for parts in zip(*found))
-        x1[missed] = f1
-        x2[missed] = f2
         used = np.zeros(len(x1), np.int64)
-        used[missed] = 2 * through
-        return (x1, x2), np.maximum.accumulate(used)
+        x1[missed], x2[missed], used[missed] = (np.concatenate(parts) for parts in zip(*found))
+        return (x1, x2), used
 
     def in_superlevel(point):
         return _in_rect(bounding_rect, point) & (f_xy(point[0], point[1]) >= y_lo)

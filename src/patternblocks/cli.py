@@ -107,11 +107,7 @@ def cmd_validate(args) -> int:
         gof = numeric.chi_square_counts(counts, probs)
         passed = report.all_passed() and gof.p_value > args.significance
         doc = {
-            "validation": {
-                "positivity": asdict(report.positivity),
-                "cover": asdict(report.cover),
-                "overlap": asdict(report.overlap),
-            },
+            "validation": asdict(report),
             "gof": asdict(gof),
             "rates": {
                 "exact": exact_adoption_rate(density, blockset),

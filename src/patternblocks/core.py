@@ -10,15 +10,16 @@ K / nu(B), the adoption rate.
 
 PatternBlockSampler runs attempts in numpy rounds. Attempt k reads the
 fixed slot of rng.SLOT main-stream units: its selection unit, then the
-units of its block. A block that needs more reads its own overflow stream
-(UniformSource.overflow). A round selects its blocks through a guide table
-(Chen and Asau 1974) in O(1) per attempt, with the index select_block
-gives. Every block kind samples all of a round's attempts in one call of
-its Kernel, on arrays gathered with take; a block without one runs its
-scalar sample_uniform attempt by attempt through one adapter, on the same
-units, with the same result. Every shipped block has a kernel. The density
-is evaluated once a round, on the (m, dim) array of the round's points,
-and once on the probe grid of validate_blockset's cover scan.
+units of its block. A block that needs more reads an overflow stream
+(UniformSource.overflow), that of the first block of its kind. A round
+selects its blocks through a guide table (Chen and Asau 1974) in O(1) per
+attempt, with the index select_block gives. Every block kind samples all
+of a round's attempts in one call of its Kernel, on arrays gathered with
+take; a block without one runs its scalar sample_uniform attempt by
+attempt through one adapter, on the same units, with the same result.
+Every shipped block has a kernel. The density is evaluated once a round,
+on the (m, dim) array of the round's points, and once on the probe grid
+of validate_blockset's cover scan.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -91,10 +94,11 @@ class Kernel:
     (coords, heights, used):
       params   (g, p) array, row j the params of attempt j's block;
       units    (g, SLOT - 1) array, the attempts' slot units after selection;
-      overflow the block's overflow stream when the kind has one block,
-               else None;
+      overflow the overflow stream of the kind's first block, which every
+               attempt of the kind reads, in attempt order;
       coords   one (g,) array per coordinate; heights a (g,) array;
-      used     None, or a (g,) array: overflow units read through attempt j.
+      used     a (g,) array, the overflow units attempt j read, or None
+               when no attempt read any.
     Blocks are of one kind when their kernels have the same sample function.
     A kernel must give, bit for bit, what the block's sample_uniform gives
     on a source that hands out the slot units and then the overflow stream.
@@ -582,8 +586,7 @@ class PatternBlockSampler:
         self.source.rewind(SLOT * (m - 1 - stop))
         for stream, mark, attempts, used in reads:
             k = int(np.searchsorted(attempts, stop, side="right"))
-            read = int(used[k - 1]) if k else 0
-            stream.rewind(stream.draws_issued - mark - read)
+            stream.rewind(stream.draws_issued - mark - int(np.sum(used[:k])))
 
     @property
     def empirical_rate(self) -> Optional[float]:
@@ -593,8 +596,9 @@ class PatternBlockSampler:
 class _Kinds:
     """A block set's blocks grouped into kinds, and the one kernel call per
     kind that samples a batch of attempts. A block without a kernel is a
-    kind of its own on the adapter. The sampler's rounds and
-    validate_blockset's overlap probe both sample through it."""
+    kind of its own on the adapter. Every kind reads the overflow stream
+    of its first block. The sampler's rounds and validate_blockset's
+    overlap probe both sample through it."""
 
     def __init__(self, blocks: Sequence[PatternBlock], dim: int):
         # blocks of one kind share a kernel; kind_of and row_of map a block
@@ -612,14 +616,15 @@ class _Kinds:
             self.row_of[ids] = range(len(ids))
             params = np.array([kernels[i].params for i in ids], float)
             params = params.reshape(len(ids), len(kernels[ids[0]].params))
-            self.kinds.append((sample, params, ids[0] if len(ids) == 1 else None))
+            self.kinds.append((sample, params, ids[0]))
 
     def sample(self, blocks: np.ndarray, units: np.ndarray, source: UniformSource):
         """Points (m, dim) and heights (m,) of m attempts, attempt k a
         sample of block blocks[k] on its slot units[k] (SLOT units, the
-        first the selection unit), and for each kind that read its
-        overflow stream: (stream, its position before the call, the kind's
-        attempts, overflow units used)."""
+        first the selection unit) and then on the overflow stream of its
+        kind's first block; and for each kind that read that stream:
+        (stream, its position before the call, the kind's attempts, the
+        overflow units each attempt read)."""
         # the gathers go through take, and the scatters into 1-D arrays:
         # numpy's 2-D fancy indexing costs several times more
         kinds = self.kind_of.take(blocks)
@@ -631,8 +636,8 @@ class _Kinds:
             attempts = np.flatnonzero(kinds == kind)
             if not attempts.size:
                 continue
-            stream = None if block is None else source.overflow(block)
-            mark = stream.draws_issued if stream is not None else 0
+            stream = source.overflow(block)
+            mark = stream.draws_issued
             coords, heights[attempts], used = sample(
                 params.take(rows.take(attempts), 0), units.take(attempts, 0)[:, 1:], stream
             )
@@ -643,35 +648,20 @@ class _Kinds:
         return columns.T, heights, reads
 
 
-class _SlotReader:
-    """The source a block's sample_uniform reads on the adapter: its
-    attempt's slot units, then its block's overflow stream."""
-
-    def __init__(self, overflow):
-        self.overflow = overflow
-        self.slot = iter(())
-        self.overflow_units = 0
-
-    def next_unit(self) -> float:
-        u = next(self.slot, None)
-        if u is None:
-            self.overflow_units += 1
-            return self.overflow.next_unit()
-        return u
-
-
 def _adapter(sample_uniform):
-    """Kernel sample of a block without one: sample_uniform on each attempt."""
+    """Kernel sample of a block without one: sample_uniform on each attempt,
+    on a source that hands out the attempt's slot units and then the
+    overflow stream; an attempt's used is what it drew from that stream."""
 
     def sample(params, units, overflow):
-        reader = _SlotReader(overflow)
+        stream = iter(overflow.next_unit, None)  # endless: next_unit never gives None
         points, heights, used = [], [], []
         for slot in units.tolist():
-            reader.slot = iter(slot)
-            point, y = sample_uniform(reader)
+            mark = overflow.draws_issued
+            point, y = sample_uniform(SimpleNamespace(next_unit=chain(slot, stream).__next__))
             points.append(point)
             heights.append(y)
-            used.append(reader.overflow_units)
+            used.append(overflow.draws_issued - mark)
         return np.array(points, float).T, heights, used
 
     return sample

@@ -10,8 +10,9 @@ A source hands out its stream as arrays (units), or one word at a time
 (next_unit) for the few scalar samples a run still takes, and steps back
 over units it handed out by moving the generator back (rewind).
 PatternBlockSampler reads the main stream in fixed slots of SLOT units per
-attempt, and gives block i an overflow stream of its own, PCG64(seed)
-jumped i + 1 times, for the units a block sample needs beyond its slot.
+attempt. Block i has an overflow stream, PCG64(seed) jumped i + 1 times,
+and each block kind reads its first block's stream for the units a block
+sample needs beyond its slot.
 Because every attempt's units sit at a fixed place, a batch of attempts
 can be drawn ahead and the streams rewound to just after the last attempt
 used (the idea behind counter-based generators; Salmon et al. 2011).

@@ -126,6 +126,27 @@ def test_sample_array_matches_golden_digest(dist, n):
     assert hashlib.sha256(points.tobytes()).hexdigest() == GOLDEN_SAMPLE_ARRAY_SHA256[dist, n]
 
 
+# Draws issued on the main stream and on each overflow stream that was read
+# (by block index) after the sample_array runs above, at commit cc37df6.
+# They pin the stream layer apart from the points.
+GOLDEN_STREAM_POSITIONS = {
+    ("arcsine-mod", 2000): (12012, {}),
+    ("half-normal-zigg", 2000): (8104, {127: 2}),
+    ("gauss-mix-2d", 1000): (10736, {1: 1456}),
+}
+
+
+@pytest.mark.parametrize(("dist", "n"), sorted(GOLDEN_SAMPLE_SHA256))
+def test_sample_array_leaves_golden_stream_positions(dist, n):
+    target = distributions.TARGETS[dist]
+    cover = target.cover()
+    source = UniformSource(42)
+    PatternBlockSampler(target.density(), cover, source).sample_array(n)
+    overflow = {i: source.overflow(i).draws_issued for i in range(len(cover))}
+    positions = source.draws_issued, {i: k for i, k in overflow.items() if k}
+    assert positions == GOLDEN_STREAM_POSITIONS[dist, n]
+
+
 def test_written_floats_stay_on_the_writer_fast_path(tmp_path, capsys, monkeypatch):
     # output's fast path covers 1e-4 <= |x| < 10 and leaves the rest to
     # repr, one Python call per field; a target or table whose values

@@ -375,6 +375,22 @@ def test_validate_detects_overlap():
     assert report.overlap.status == "fail"
 
 
+def test_a_block_listed_twice_samples_and_fails_the_overlap_check(mixture_density):
+    # the two superlevel blocks are one kind, which reads the overflow
+    # stream of its first block
+    blocks = distributions.gauss_mixture_blockset().blocks
+    twice = BlockSet([*blocks[:2], blocks[1], *blocks[2:]])
+    sampler = PatternBlockSampler(mixture_density, twice, UniformSource(4))
+    assert sampler.sample_array(1000).shape == (1000, 2)
+    report = validate_blockset(twice, mixture_density, n_probe=2000)
+    assert report.cover.status == "pass"
+    assert report.overlap.status == "fail"
+    hits, estimate = report.overlap.detail.split(" double-hits, ")
+    assert estimate.startswith("overlap fraction estimate ")
+    # every sample of either twin lies in the other
+    assert int(hits) >= 2 * (2000 // len(twice))
+
+
 def test_validate_needs_finite_probe_bounds(half_normal_density, zigg_blocks):
     with pytest.raises(ValueError):
         validate_blockset(zigg_blocks, half_normal_density, n_probe=100)

@@ -1,12 +1,13 @@
 """The sampling rounds: slot layout, exact rewind, kernels against the
 scalar samplers, and the vectorized selection."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from patternblocks import core, distributions
+from patternblocks import blocks1d, core, distributions
 from patternblocks.blocks1d import rect_block
 from patternblocks.core import (
     BlockSet,
@@ -27,22 +28,38 @@ TARGETS = {
 }
 
 
+def _overflow_positions(sampler):
+    """Draws issued on each block's overflow stream, 0 for one never read."""
+    source = sampler.source
+    return [source.overflow(i).draws_issued for i in range(len(sampler.blockset))]
+
+
+# the blocks whose kernels read overflow at seed 6 and n = 6000
+OVERFLOW_READERS = {"arcsine-mod": set(), "gauss-mix-2d": {1}, "half-normal-zigg": {127}}
+
+
 @pytest.mark.parametrize("target", sorted(TARGETS))
 def test_points_do_not_depend_on_round_or_call_sizes(request, monkeypatch, target):
     density, blockset = (request.getfixturevalue(name) for name in TARGETS[target])
-    n = 1500
+    n = 6000
     reference = PatternBlockSampler(density, blockset, UniformSource(6))
     expected = reference.sample_many(n)
+    positions = _overflow_positions(reference)
+    assert {i for i, read in enumerate(positions) if read} == OVERFLOW_READERS[target]
+    # the same blocks with no kernel: every attempt runs on the adapter
+    bare = BlockSet([dataclasses.replace(b, kernel=None) for b in blockset.blocks])
     monkeypatch.setattr(core, "ROUND", 7)
-    for size in (1, 13, 4096):
-        sampler = PatternBlockSampler(density, blockset, UniformSource(6))
+    for cover, size in ((blockset, 1), (blockset, 13), (blockset, 4096), (bare, 13)):
+        sampler = PatternBlockSampler(density, cover, UniformSource(6))
         points = []
         while len(points) < n:
             points += sampler.sample_many(min(size, n - len(points)))
         assert points == expected, size
         assert (sampler.attempts, sampler.accepted) == (reference.attempts, n)
-        # the main stream ends just after the last attempt's slot
+        # the main stream ends just after the last attempt's slot, and each
+        # overflow stream just after the last attempt's reads
         assert sampler.source.draws_issued == SLOT * reference.attempts
+        assert _overflow_positions(sampler) == positions, size
 
 
 def test_rejection_cap_counts_across_rounds(monkeypatch):
@@ -96,7 +113,7 @@ def _assert_kernel_matches_scalar(block, units, i):
         assert point == tuple(float(c[j]) for c in coords), (block.label, j)
         assert y == heights[j], (block.label, j)
         read += source.overflow_units
-        assert (0 if used is None else used[j]) == read, (block.label, j)
+        assert (0 if used is None else used[j]) == source.overflow_units, (block.label, j)
     assert (used is None) == (read == 0), block.label
     return read
 
@@ -125,7 +142,7 @@ def test_base_block_tail_branch_reads_overflow(zigg_layout, zigg_blocks):
     )
     r = zigg_layout.x[-1]
     assert coords[0][0] >= r and coords[0][2] >= r and coords[0][1] < r
-    assert used[0] > 0 and used[1] == used[0] and used[2] > used[1]
+    assert used[0] > 0 and used[1] == 0 and used[2] > 0
     _assert_kernel_matches_scalar(base, units, len(zigg_blocks) - 1)
 
 
@@ -145,15 +162,36 @@ def test_base_kernel_rounds_of_one_branch(zigg_layout, zigg_blocks, branch):
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))
-def test_shipped_targets_never_sample_on_the_adapter(request, monkeypatch, target):
-    # every block of a shipped cover brings its own kernel, so no round
-    # falls back to running sample_uniform attempt by attempt for a block
-    density, blockset = (request.getfixturevalue(name) for name in TARGETS[target])
-    calls = []
+def test_shipped_targets_never_sample_on_the_adapter(zigg_layout, monkeypatch, target):
+    # every block of a shipped cover brings its own kernel, so _Kinds wraps
+    # no block in the adapter; only the ziggurat base's kernel hands the
+    # adapter rows, and only those of its tail branch
+    adapter = core._adapter
+    calls, branch_units = [], []
+
+    def counted(sample_uniform):
+        sample = adapter(sample_uniform)
+
+        def counted_sample(params, units, overflow):
+            branch_units.extend(units[:, 0].tolist())
+            return sample(params, units, overflow)
+
+        return counted_sample
+
     monkeypatch.setattr(core, "_adapter", lambda sample: calls.append(sample))
-    sampler = PatternBlockSampler(density, blockset, UniformSource(8))
-    assert len(sampler.sample_array(5000)) == 5000
+    monkeypatch.setattr(blocks1d, "_adapter", counted)
+    entry = distributions.TARGETS[target]
+    sampler = PatternBlockSampler(entry.density(), entry.cover(), UniformSource(8))
+    assert len(sampler.sample_array(20000)) == 20000
     assert calls == []
+    if target != "half-normal-zigg":
+        assert branch_units == []
+        return
+    p_rect = zigg_layout.x[-1] * zigg_layout.f_at_x[-1] / zigg_layout.layer_area
+    # 20000 points take about 20240 attempts, of which about 11.5 are
+    # expected to select the base and take its tail (18 rows at seed 8,
+    # the last round's overshoot included)
+    assert branch_units and min(branch_units) >= p_rect
 
 
 @pytest.mark.parametrize("cover", COVERS)
