@@ -214,12 +214,13 @@ def _band_sample(footprint):
 class BlockSet:
     """Ordered pattern blocks with cumulative selection weights.
 
-    The weights are block measures normalized by the total; the final
-    cumulative entry is forced to exactly 1.0 so selection is total on
-    [0, 1) despite floating-point summation. The constructor's contract
-    (callers must supply blocks that overlap only on measure-zero sets and
-    jointly cover the density's subgraph) is checked statistically by
-    validate_blockset, not symbolically.
+    cumulative is a read-only float64 array: entry i is the summed measure
+    of blocks 0..i, summed in order, over the total. The final entry is
+    forced to exactly 1.0 so selection is total on [0, 1) despite
+    floating-point summation. The constructor's contract (callers must
+    supply blocks that overlap only on measure-zero sets and jointly cover
+    the density's subgraph) is checked statistically by validate_blockset,
+    not symbolically.
     """
 
     def __init__(self, blocks: Sequence[PatternBlock]):
@@ -229,12 +230,9 @@ class BlockSet:
         total = math.fsum(b.measure for b in blocks)
         if not math.isfinite(total):
             raise ValueError("total measure must be finite")
-        cumulative = []
-        acc = 0.0
-        for b in blocks:
-            acc += b.measure
-            cumulative.append(acc / total)
+        cumulative = np.cumsum([b.measure for b in blocks]) / total
         cumulative[-1] = 1.0
+        cumulative.flags.writeable = False
         self.blocks = blocks
         self.cumulative = cumulative
         self.total_measure = total
@@ -319,8 +317,8 @@ def validate_blockset(
     Cover and overlap ask the blocks' required membership tests on numpy
     arrays, once per block, so every check ends "pass" or "fail"; a
     contains that cannot take arrays raises ValueError naming its block.
-    probe_bounds replaces density.domain_bounds for the cover grid and
-    must be given when the domain is unbounded.
+    probe_bounds replaces density.domain_bounds for the cover grid, with
+    one (lo, hi) per axis, and must be given when the domain is unbounded.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be at least 1")
@@ -329,6 +327,8 @@ def validate_blockset(
     positivity = CheckResult("pass", f"{len(measures)} blocks, min measure {min(measures):.6g}")
 
     bounds = probe_bounds if probe_bounds is not None else density.domain_bounds
+    if len(bounds) != density.dim:
+        raise ValueError("probe_bounds must give one (lo, hi) per axis")
     if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in bounds):
         raise ValueError("cover probing needs finite probe_bounds for unbounded domains")
 
@@ -485,7 +485,8 @@ class PatternBlockSampler:
     """Accept/reject sampler over a validated block set.
 
     Each attempt takes one selection unit, picks a block with select_block's
-    rule, samples that block uniformly, and accepts when the height lies
+    rule on blockset.cumulative, through a guide table built once per
+    sampler, samples that block uniformly, and accepts when the height lies
     under the density graph (inclusive comparison; the boundary has measure
     zero, the choice is fixed for determinism). Attempts run in rounds of
     at most ROUND, each sized to the points still needed at the exact
@@ -498,7 +499,9 @@ class PatternBlockSampler:
     point raises DensityValueError. A rejected attempt whose density value
     is NaN or negative raises DensityValueError too; REJECTION_CAP
     consecutive rejections within one call raise RejectionCapError. These
-    two are raised at the first such attempt in attempt order.
+    two are raised at the first such attempt in attempt order; an attempt
+    that is both the cap-th rejection and a NaN or negative value raises
+    DensityValueError.
     empirical_rate is None before the first attempt. One sampler per
     thread; the underlying source must not be shared.
     """
@@ -510,8 +513,7 @@ class PatternBlockSampler:
         self.attempts = 0
         self.accepted = 0
         self._rate = min(1.0, exact_adoption_rate(density, blockset))
-        self._cumulative = np.array(blockset.cumulative)
-        self._guide = guide_table(self._cumulative)
+        self._guide = guide_table(blockset.cumulative)
         self._kinds = _Kinds(blockset.blocks, density.dim)
 
     def sample_many(self, n: int) -> list[Point]:
@@ -524,7 +526,7 @@ class PatternBlockSampler:
         if n < 0:
             raise ValueError("n must be nonnegative")
         cap = REJECTION_CAP
-        kept = []
+        kept = [np.empty((0, self.density.dim))]
         accepted = attempts = 0
         streak = 0  # consecutive rejections so far
         try:
@@ -532,33 +534,33 @@ class PatternBlockSampler:
                 need = n - accepted
                 # sized to the need at the adoption rate; a round that met
                 # only rejections doubles the next one
-                rate = self._rate
-                m = math.ceil(need / rate) if need < ROUND * rate else ROUND
-                m = min(ROUND, max(streak, m))
-                points, heights, reads = self._round(m)
+                m = min(ROUND, max(streak, math.ceil(need / self._rate)))
+                units = self.source.units(SLOT * m).reshape(m, SLOT)
+                blocks = select_blocks(self.blockset.cumulative, self._guide, units[:, 0])
+                points, heights, reads = self._kinds.sample(blocks, units, self.source)
                 fx = _evaluate(self.density, points)
                 hit = heights <= fx
                 keep = np.flatnonzero(hit)
                 # stop at the need-th acceptance, or at the first failing attempt
                 stop = int(keep[need - 1]) if len(keep) >= need else m - 1
-                bad = np.flatnonzero(~hit & ~(fx >= 0.0))
-                capped = np.empty(0, np.intp)
+                fail = bad = ~hit & ~(fx >= 0.0)
                 if streak + m >= cap:  # only then can a run of rejections reach the cap
                     index = np.arange(m)
                     streaks = index - np.maximum.accumulate(np.where(hit, index, -1 - streak))
-                    capped = np.flatnonzero(streaks >= cap)
+                    fail = bad | (streaks >= cap)
+                first = int(fail[:stop + 1].argmax())  # 0 when no attempt through stop fails
                 error = None
-                if bad.size and bad[0] <= stop and not (capped.size and capped[0] < bad[0]):
-                    stop = int(bad[0])
-                    error = DensityValueError(
-                        f"density is {float(fx[stop])!r} at {tuple(points[stop].tolist())!r}; "
-                        "it must be nonnegative, not NaN"
-                    )
-                elif capped.size and capped[0] <= stop:
-                    stop = int(capped[0])
-                    error = RejectionCapError(
-                        f"{cap} consecutive rejections; block set does not match the density"
-                    )
+                if fail[first]:
+                    stop = first
+                    if bad[stop]:  # a NaN or negative value wins over the cap
+                        error = DensityValueError(
+                            f"density is {float(fx[stop])!r} at {tuple(points[stop].tolist())!r}; "
+                            "it must be nonnegative, not NaN"
+                        )
+                    else:
+                        error = RejectionCapError(
+                            f"{cap} consecutive rejections; block set does not match the density"
+                        )
                 keep = keep[:np.searchsorted(keep, stop, side="right")]
                 kept.append(points.take(keep, 0))
                 accepted += len(keep)
@@ -570,16 +572,7 @@ class PatternBlockSampler:
         finally:
             self.attempts += attempts
             self.accepted += accepted
-        if not kept:
-            return np.empty((0, self.density.dim))
         return np.concatenate(kept)
-
-    def _round(self, m: int):
-        """Points, heights and overflow reads (see _Kinds.sample) of the
-        next m attempts."""
-        units = self.source.units(SLOT * m).reshape(m, SLOT)
-        blocks = select_blocks(self._cumulative, self._guide, units[:, 0])
-        return self._kinds.sample(blocks, units, self.source)
 
     def _rewind(self, m: int, stop: int, reads):
         """Rewind every stream to just after attempt stop of an m-attempt round."""

@@ -18,8 +18,8 @@ from patternblocks import cli, distributions, output
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.cli import _parser, main
 from patternblocks.distributions import B0, B1, B2, B3
-from patternblocks.core import BlockSet, Density, PatternBlockSampler
-from patternblocks.rng import UniformSource
+from patternblocks.core import BlockSet, Density, PatternBlockSampler, guide_table, select_blocks
+from patternblocks.rng import SLOT, UniformSource
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +145,36 @@ def test_sample_array_leaves_golden_stream_positions(dist, n):
     overflow = {i: source.overflow(i).draws_issued for i in range(len(cover))}
     positions = source.draws_issued, {i: k for i, k in overflow.items() if k}
     assert positions == GOLDEN_STREAM_POSITIONS[dist, n]
+
+
+# Attempts of the sample_array runs above, and the SHA-256 of the int64
+# block indices their selection units pick, at commit 62835ea. They pin the
+# selection layer apart from the points: a selection fault fails here.
+GOLDEN_SELECTION = {
+    ("arcsine-mod", 2000): (
+        3003, "6b9bc257054754a1b0fdf65ebe445f17da98782a6bc2144ad67a1be4cb776d52"
+    ),
+    ("half-normal-zigg", 2000): (
+        2026, "ae14e490eaeadea0a01fa6a7a7896d9abc455e955e603cdb0a14ab3ccc7ed6be"
+    ),
+    ("gauss-mix-2d", 1000): (
+        2684, "b25578e6efebfc42b09bc665e588e01c5a9acdb65fe763b77a74745c8ec09b57"
+    ),
+}
+
+
+@pytest.mark.parametrize(("dist", "n"), sorted(GOLDEN_SAMPLE_SHA256))
+def test_sample_array_selects_golden_blocks(dist, n):
+    target = distributions.TARGETS[dist]
+    cover = target.cover()
+    sampler = PatternBlockSampler(target.density(), cover, UniformSource(42))
+    sampler.sample_array(n)
+    attempts = sampler.attempts
+    # attempt k's selection unit is the first of its slot
+    units = UniformSource(42).units(SLOT * attempts)[::SLOT]
+    blocks = select_blocks(cover.cumulative, guide_table(cover.cumulative), units)
+    digest = hashlib.sha256(blocks.astype(np.int64).tobytes()).hexdigest()
+    assert (attempts, digest) == GOLDEN_SELECTION[dist, n]
 
 
 def test_written_floats_stay_on_the_writer_fast_path(tmp_path, capsys, monkeypatch):

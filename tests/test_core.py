@@ -156,10 +156,20 @@ def test_blockset_requires_blocks():
         BlockSet([])
 
 
-def test_blockset_cumulative_ends_at_one(arcsine_blocks):
-    cum = arcsine_blocks.cumulative
-    assert cum[-1] == 1.0
-    assert all(a <= b for a, b in zip(cum, cum[1:]))
+def test_blockset_cumulative_ends_at_one(arcsine_blocks, mixture_blocks, zigg_blocks):
+    # the weights are, bit for bit, the running sum in block order over the
+    # total, and read-only, as the samplers select on them without a copy
+    for blockset in (arcsine_blocks, mixture_blocks, zigg_blocks):
+        cum = blockset.cumulative
+        assert cum[-1] == 1.0
+        assert all(a <= b for a, b in zip(cum, cum[1:]))
+        acc, running = 0.0, []
+        for block in blockset.blocks:
+            acc += block.measure
+            running.append(acc / blockset.total_measure)
+        assert cum.dtype == np.float64 and cum[:-1].tolist() == running[:-1]
+        with pytest.raises(ValueError):
+            cum[0] = 0.0
 
 
 def test_exact_adoption_rate_single_exact_block():
@@ -296,6 +306,34 @@ def test_nan_or_negative_density_fails_fast(bad):
     assert (sampler.accepted, sampler.attempts) == (2, 3)
 
 
+# One call's first round on a cover of adoption rate 1/4 holds 4n attempts,
+# so each script below runs in one round; 10.0 accepts every height of the
+# block and 0.0 rejects it. The cap is 3 consecutive rejections.
+@pytest.mark.parametrize(("script", "n", "error", "counters"), [
+    # the third attempt is both the cap-th rejection and a NaN
+    ([0.0, 0.0, math.nan], 10, DensityValueError, (0, 3)),
+    # the cap is reached one attempt before a NaN
+    ([10.0, 0.0, 0.0, 0.0, math.nan], 10, RejectionCapError, (1, 4)),
+    # a NaN one attempt before the cap
+    ([10.0, 0.0, math.nan, 0.0], 10, DensityValueError, (1, 3)),
+    # a NaN, and then the cap, after the need-th acceptance
+    ([10.0, 0.0, 10.0, math.nan, 0.0, 0.0], 2, None, (2, 3)),
+])
+def test_failure_precedence_within_one_round(monkeypatch, script, n, error, counters):
+    monkeypatch.setattr(core, "REJECTION_CAP", 3)
+    source = UniformSource(6)
+    sampler = PatternBlockSampler(
+        _scripted_density(script), BlockSet([rect_block(0.0, 1.0, 0.1, 4.1)]), source
+    )
+    if error is None:
+        assert sampler.sample_array(n).shape == (n, 1)
+    else:
+        with pytest.raises(error):
+            sampler.sample_array(n)
+    assert (sampler.accepted, sampler.attempts) == counters
+    assert source.draws_issued == SLOT * sampler.attempts
+
+
 def _ramp_density():
     return Density(
         dim=1,
@@ -399,6 +437,28 @@ def test_validate_needs_finite_probe_bounds(half_normal_density, zigg_blocks):
         probe_bounds=((0.0, 8.0),),
     )
     assert report.all_passed()
+
+
+@pytest.mark.parametrize(("density", "blocks", "bounds"), [
+    ("half_normal_density", "zigg_blocks", ((0.0, 8.0), (0.0, 8.0))),
+    ("mixture_density", "mixture_blocks", ((-4.0, 4.0),)),
+])
+def test_validate_rejects_probe_bounds_of_the_wrong_dimension(request, density, blocks, bounds):
+    # unchecked, the 2-D box on the 1-D cover would pass and the 1-D box
+    # would fail inside the 2-D mixture's density; both stop before it runs
+    density = request.getfixturevalue(density)
+    calls = []
+
+    def evaluate(points):
+        calls.append(len(points))
+        return density.evaluate(points)
+
+    with pytest.raises(ValueError, match=r"probe_bounds must give one \(lo, hi\) per axis"):
+        validate_blockset(
+            request.getfixturevalue(blocks), dataclasses.replace(density, evaluate=evaluate),
+            n_probe=10_000, probe_bounds=bounds,
+        )
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,21 @@ def test_overflow_streams_are_jumped_from_the_seed(seed):
         stream = source.overflow(i)
         assert stream is source.overflow(i)
         assert stream.units(10).tolist() == ((words >> 11) * 2.0**-53).tolist()
+
+
+# First raw words of the overflow streams the golden runs read at seed 42:
+# block 1 is the mixture's superlevel block and block 127 the ziggurat base.
+# Printed by numpy 2.4's np.random.PCG64(42).jumped(i + 1).random_raw, so a
+# change in numpy's jump fails here and not only in the sample digests.
+OVERFLOW_WORDS_SEED_42 = {
+    1: [0x787268E85A26161D, 0x833F2BA28E9A60FC, 0xBB4BA9FE5403DE5D, 0x67C2AC234764B927],
+    127: [0xCC16630433906F57, 0xC6F79401BFA3CD53, 0x1C579779D073AA8F, 0x0B1B1AA86938F7EA],
+}
+
+
+@pytest.mark.parametrize("block", sorted(OVERFLOW_WORDS_SEED_42))
+def test_overflow_streams_match_reference_words(block):
+    words = OVERFLOW_WORDS_SEED_42[block]
+    assert np.random.PCG64(42).jumped(block + 1).random_raw(4).tolist() == words
+    units = UniformSource(42).overflow(block).units(4).tolist()
+    assert units == [(word >> 11) * 2.0**-53 for word in words]
