@@ -12,14 +12,14 @@ PatternBlockSampler runs attempts in numpy rounds. Attempt k reads the
 fixed slot of rng.SLOT main-stream units: its selection unit, then the
 units of its block. A block that needs more reads an overflow stream
 (UniformSource.overflow), that of the first block of its kind. A round
-selects its blocks through a guide table (Chen and Asau 1974) in O(1) per
-attempt, with the index select_block gives. Every block kind samples all
-of a round's attempts in one call of its Kernel, on arrays gathered with
-take; a block without one runs its scalar sample_uniform attempt by
-attempt through one adapter, on the same units, with the same result.
-Every shipped block has a kernel. The density is evaluated once a round,
-on the (m, dim) array of the round's points, and once on the probe grid
-of validate_blockset's cover scan.
+selects its blocks through the BlockSet's guide table (Chen and Asau 1974)
+in O(1) per attempt, with the index select_block gives. Every block kind
+samples all of a round's attempts in one call of its Kernel, on arrays
+gathered with take; a block without one runs its scalar sample_uniform
+attempt by attempt through one adapter, on the same units, with the same
+result. Every shipped block has a kernel. The density is evaluated once a
+round, on the (m, dim) array of the round's points, and once on the probe
+grid of validate_blockset's cover scan.
 """
 
 from __future__ import annotations
@@ -212,19 +212,18 @@ def _band_sample(footprint):
 
 
 class BlockSet:
-    """Ordered pattern blocks with cumulative selection weights.
-
-    cumulative is a read-only float64 array: entry i is the summed measure
-    of blocks 0..i, summed in order, over the total. The final entry is
-    forced to exactly 1.0 so selection is total on [0, 1) despite
-    floating-point summation. The constructor's contract (callers must
-    supply blocks that overlap only on measure-zero sets and jointly cover
-    the density's subgraph) is checked statistically by validate_blockset,
-    not symbolically.
-    """
+    """A tuple of pattern blocks and the read-only tables built from it
+    once: cumulative, whose float64 entry i is the in-order sum of the
+    measures of blocks 0..i over the total, the last forced to exactly 1.0
+    so selection is total on [0, 1); guide, its guide table; bands, the
+    (2, n) array of the blocks' height bands. sample_blocks makes one call
+    per block kind (see Kernel; a block without a kernel is a kind of its
+    own, on the adapter). The contract (blocks overlap only on measure-zero
+    sets and jointly cover the density's subgraph) is checked statistically
+    by validate_blockset, not symbolically."""
 
     def __init__(self, blocks: Sequence[PatternBlock]):
-        blocks = list(blocks)
+        blocks = tuple(blocks)
         if not blocks:
             raise ValueError("a block set needs at least one block")
         total = math.fsum(b.measure for b in blocks)
@@ -232,13 +231,64 @@ class BlockSet:
             raise ValueError("total measure must be finite")
         cumulative = np.cumsum([b.measure for b in blocks]) / total
         cumulative[-1] = 1.0
-        cumulative.flags.writeable = False
         self.blocks = blocks
         self.cumulative = cumulative
         self.total_measure = total
+        self.guide = guide_table(cumulative)
+        self.bands = np.array([b.height_band for b in blocks]).T
+        # kind_of and row_of map a block to its kind and its row of the kind's params
+        kernels = [b.kernel or Kernel(_adapter(b.sample_uniform)) for b in blocks]
+        members = {}
+        for i, kernel in enumerate(kernels):
+            members.setdefault(kernel.sample, []).append(i)
+        self.kinds = []
+        self.kind_of = np.empty(len(kernels), np.intp)
+        self.row_of = np.empty(len(kernels), np.intp)
+        for k, (sample, ids) in enumerate(members.items()):
+            self.kind_of[ids] = k
+            self.row_of[ids] = range(len(ids))
+            params = np.array([kernels[i].params for i in ids], float)
+            params.flags.writeable = False
+            self.kinds.append((sample, params, ids[0]))
+        for table in (cumulative, self.guide, self.bands, self.kind_of, self.row_of):
+            table.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    def sample_blocks(self, blocks: np.ndarray, units: np.ndarray, source: UniformSource, dim: int):
+        """Points (m, dim) and heights (m,) of m attempts, attempt k a
+        sample of block blocks[k] on its slot units[k] (SLOT units, the
+        first the selection unit) and then on the overflow stream of its
+        kind's first block; and for each kind that read that stream:
+        (stream, its position before the call, the kind's attempts, the
+        overflow units each attempt read)."""
+        # the gathers go through take, and the scatters into 1-D arrays:
+        # numpy's 2-D fancy indexing costs several times more
+        kinds = self.kind_of.take(blocks)
+        rows = self.row_of.take(blocks)
+        columns = np.empty((dim, len(blocks)))
+        heights = np.empty(len(blocks))
+        reads = []
+        for kind, (sample, params, block) in enumerate(self.kinds):
+            attempts = np.flatnonzero(kinds == kind)
+            if not attempts.size:
+                continue
+            stream = source.overflow(block)
+            mark = stream.draws_issued
+            coords, heights[attempts], used = sample(
+                params.take(rows.take(attempts), 0), units.take(attempts, 0)[:, 1:], stream
+            )
+            if len(coords) != dim:
+                raise ValueError(
+                    f"{_block_name(self.blocks, block)}: its kernel returned "
+                    f"{len(coords)} coordinates for a {dim}-d density"
+                )
+            for column, values in zip(columns, coords):
+                column[attempts] = values
+            if used is not None:
+                reads.append((stream, mark, attempts, used))
+        return columns.T, heights, reads
 
 
 # select_block(cumulative, u): smallest index i with u < cumulative[i]; one
@@ -371,7 +421,7 @@ def _cover_check(blockset, density, bounds, n_probe):
     y = y[order]
     point = tuple(axis[probed][order % m] for axis in grid)
     covered = np.zeros(len(y), bool)
-    for i, a, b in _band_slices(blocks, y):
+    for i, a, b in _band_slices(blockset, y):
         lo, hi = blocks[i].height_band
         sliced = tuple(axis[a:b] for axis in point)
         covered[a:b] |= _contains(blocks, i, sliced, y[a:b])
@@ -395,11 +445,11 @@ def _cover_check(blockset, density, bounds, n_probe):
 
 
 def _overlap_check(blockset, dim, n_probe):
-    # The probe samples every block as a sampling round does: attempt k
-    # reads a slot of SLOT main-stream units, then its block's overflow
-    # stream, through its kind's kernel or the adapter. The samples are
-    # then sorted by height, and each block is asked once, about the
-    # samples its height band holds: it contains no height outside it.
+    # The probe samples every block through blockset.sample_blocks, on
+    # slots of SLOT main-stream units, as a sampling round does. The
+    # samples are then sorted by height, and each block is asked once,
+    # about the samples its height band holds: it contains no height
+    # outside it.
     blocks = blockset.blocks
     if len(blocks) == 1:
         return CheckResult("pass", "single block")
@@ -407,8 +457,8 @@ def _overlap_check(blockset, dim, n_probe):
     owner = np.repeat(np.arange(len(blocks)), per_block)
     source = UniformSource(OVERLAP_SEED)
     units = source.units(SLOT * len(owner)).reshape(len(owner), SLOT)
-    points, y, _ = _Kinds(blocks, dim).sample(owner, units, source)
-    bands = np.array([b.height_band for b in blocks]).T[:, owner]
+    points, y, _ = blockset.sample_blocks(owner, units, source, dim)
+    bands = blockset.bands[:, owner]
     outside = np.flatnonzero(~((bands[0] <= y) & (y <= bands[1])))
     if outside.size:
         k = outside[0]
@@ -423,7 +473,7 @@ def _overlap_check(blockset, dim, n_probe):
     point = tuple(points.take(order, 0).T)
     owner = owner[order]
     hit_owners = [np.empty(0, np.intp)]  # owners of the samples another block holds
-    for j, a, b in _band_slices(blocks, y):
+    for j, a, b in _band_slices(blockset, y):
         hit = _contains(blocks, j, tuple(axis[a:b] for axis in point), y[a:b])
         others = owner[a:b]
         hit_owners.append(others[hit & (others != j)])
@@ -441,10 +491,10 @@ def _overlap_check(blockset, dim, n_probe):
     )
 
 
-def _band_slices(blocks, y):
+def _band_slices(blockset, y):
     """(i, a, b) for each block i whose height band holds the sorted
     heights y[a:b], a < b."""
-    lo, hi = np.array([b.height_band for b in blocks]).T
+    lo, hi = blockset.bands
     starts = np.searchsorted(y, lo, side="left").tolist()
     ends = np.searchsorted(y, hi, side="right").tolist()
     return [(i, a, b) for i, (a, b) in enumerate(zip(starts, ends)) if a < b]
@@ -485,25 +535,24 @@ class PatternBlockSampler:
     """Accept/reject sampler over a validated block set.
 
     Each attempt takes one selection unit, picks a block with select_block's
-    rule on blockset.cumulative, through a guide table built once per
-    sampler, samples that block uniformly, and accepts when the height lies
-    under the density graph (inclusive comparison; the boundary has measure
-    zero, the choice is fixed for determinism). Attempts run in rounds of
-    at most ROUND, each sized to the points still needed at the exact
-    adoption rate; after a round the streams are rewound to just after the
-    last attempt used, so the points depend only on the seed, never on
-    round or call sizes. attempts counts attempts through the last accepted
-    point and accepted counts returned samples, so accepted / attempts
-    estimates the adoption rate. The density is evaluated once a round, on
-    the round's points; an evaluate that does not return one value per
-    point raises DensityValueError. A rejected attempt whose density value
-    is NaN or negative raises DensityValueError too; REJECTION_CAP
-    consecutive rejections within one call raise RejectionCapError. These
-    two are raised at the first such attempt in attempt order; an attempt
-    that is both the cap-th rejection and a NaN or negative value raises
-    DensityValueError.
-    empirical_rate is None before the first attempt. One sampler per
-    thread; the underlying source must not be shared.
+    rule on blockset.cumulative, through blockset.guide, samples it through
+    blockset.sample_blocks, and accepts when the height lies under the
+    density graph (inclusive comparison; the boundary has measure zero, the
+    choice is fixed for determinism). Attempts run in rounds of at most
+    ROUND, each sized to the points still needed at the exact adoption
+    rate; after a round the streams are rewound to just after the last
+    attempt used, so the points depend only on the seed, never on round or
+    call sizes. attempts counts attempts through the last accepted point
+    and accepted counts returned samples, so accepted / attempts estimates
+    the adoption rate. The density is evaluated once a round, on the
+    round's points; an evaluate that does not return one value per point
+    raises DensityValueError. A rejected attempt whose density value is
+    NaN or negative raises DensityValueError too; REJECTION_CAP consecutive
+    rejections within one call raise RejectionCapError. These two are
+    raised at the first such attempt in attempt order; an attempt that is
+    both the cap-th rejection and a NaN or negative value raises
+    DensityValueError. empirical_rate is None before the first attempt.
+    One sampler per thread; the underlying source must not be shared.
     """
 
     def __init__(self, density: Density, blockset: BlockSet, source: UniformSource):
@@ -513,8 +562,6 @@ class PatternBlockSampler:
         self.attempts = 0
         self.accepted = 0
         self._rate = min(1.0, exact_adoption_rate(density, blockset))
-        self._guide = guide_table(blockset.cumulative)
-        self._kinds = _Kinds(blockset.blocks, density.dim)
 
     def sample_many(self, n: int) -> list[Point]:
         """n accepted points as tuples of floats: sample_array's rows."""
@@ -536,8 +583,10 @@ class PatternBlockSampler:
                 # only rejections doubles the next one
                 m = min(ROUND, max(streak, math.ceil(need / self._rate)))
                 units = self.source.units(SLOT * m).reshape(m, SLOT)
-                blocks = select_blocks(self.blockset.cumulative, self._guide, units[:, 0])
-                points, heights, reads = self._kinds.sample(blocks, units, self.source)
+                blocks = select_blocks(self.blockset.cumulative, self.blockset.guide, units[:, 0])
+                points, heights, reads = self.blockset.sample_blocks(
+                    blocks, units, self.source, self.density.dim
+                )
                 fx = _evaluate(self.density, points)
                 hit = heights <= fx
                 keep = np.flatnonzero(hit)
@@ -584,61 +633,6 @@ class PatternBlockSampler:
     @property
     def empirical_rate(self) -> Optional[float]:
         return self.accepted / self.attempts if self.attempts else None
-
-
-class _Kinds:
-    """A block set's blocks grouped into kinds, and the one kernel call per
-    kind that samples a batch of attempts. A block without a kernel is a
-    kind of its own on the adapter. Every kind reads the overflow stream
-    of its first block. The sampler's rounds and validate_blockset's
-    overlap probe both sample through it."""
-
-    def __init__(self, blocks: Sequence[PatternBlock], dim: int):
-        # blocks of one kind share a kernel; kind_of and row_of map a block
-        # to its kind and to its row of the kind's params
-        kernels = [b.kernel or Kernel(_adapter(b.sample_uniform)) for b in blocks]
-        members = {}
-        for i, kernel in enumerate(kernels):
-            members.setdefault(kernel.sample, []).append(i)
-        self.dim = dim
-        self.kinds = []
-        self.kind_of = np.empty(len(kernels), np.intp)
-        self.row_of = np.empty(len(kernels), np.intp)
-        for k, (sample, ids) in enumerate(members.items()):
-            self.kind_of[ids] = k
-            self.row_of[ids] = range(len(ids))
-            params = np.array([kernels[i].params for i in ids], float)
-            params = params.reshape(len(ids), len(kernels[ids[0]].params))
-            self.kinds.append((sample, params, ids[0]))
-
-    def sample(self, blocks: np.ndarray, units: np.ndarray, source: UniformSource):
-        """Points (m, dim) and heights (m,) of m attempts, attempt k a
-        sample of block blocks[k] on its slot units[k] (SLOT units, the
-        first the selection unit) and then on the overflow stream of its
-        kind's first block; and for each kind that read that stream:
-        (stream, its position before the call, the kind's attempts, the
-        overflow units each attempt read)."""
-        # the gathers go through take, and the scatters into 1-D arrays:
-        # numpy's 2-D fancy indexing costs several times more
-        kinds = self.kind_of.take(blocks)
-        rows = self.row_of.take(blocks)
-        columns = np.empty((self.dim, len(blocks)))
-        heights = np.empty(len(blocks))
-        reads = []
-        for kind, (sample, params, block) in enumerate(self.kinds):
-            attempts = np.flatnonzero(kinds == kind)
-            if not attempts.size:
-                continue
-            stream = source.overflow(block)
-            mark = stream.draws_issued
-            coords, heights[attempts], used = sample(
-                params.take(rows.take(attempts), 0), units.take(attempts, 0)[:, 1:], stream
-            )
-            for column, values in zip(columns, coords, strict=True):
-                column[attempts] = values
-            if used is not None:
-                reads.append((stream, mark, attempts, used))
-        return columns.T, heights, reads
 
 
 def _adapter(sample_uniform):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -20,6 +21,10 @@ from patternblocks.cli import _parser, main
 from patternblocks.distributions import B0, B1, B2, B3
 from patternblocks.core import BlockSet, Density, PatternBlockSampler, guide_table, select_blocks
 from patternblocks.rng import SLOT, UniformSource
+
+# the golden digests rest on numpy's float arithmetic: a failing one names
+# what it ran on
+RAN_ON = f"numpy {np.__version__}, Python {platform.python_version()}, {platform.machine()}"
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +108,8 @@ def test_sample_matches_golden_digest(tmp_path, capsys, dist, n):
         capsys, "sample", "--dist", dist, "--n", str(n), "--seed", "42", "--out", str(path)
     )
     assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[dist, n]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SAMPLE_SHA256[dist, n], RAN_ON
 
 
 # SHA-256 of the float64 bytes (little-endian, row-major) of
@@ -123,7 +129,8 @@ def test_sample_array_matches_golden_digest(dist, n):
     density = target.density()
     points = PatternBlockSampler(density, target.cover(), UniformSource(42)).sample_array(n)
     assert points.dtype == np.float64 and points.shape == (n, density.dim)
-    assert hashlib.sha256(points.tobytes()).hexdigest() == GOLDEN_SAMPLE_ARRAY_SHA256[dist, n]
+    digest = hashlib.sha256(points.tobytes()).hexdigest()
+    assert digest == GOLDEN_SAMPLE_ARRAY_SHA256[dist, n], RAN_ON
 
 
 # Draws issued on the main stream and on each overflow stream that was read
@@ -144,7 +151,7 @@ def test_sample_array_leaves_golden_stream_positions(dist, n):
     PatternBlockSampler(target.density(), cover, source).sample_array(n)
     overflow = {i: source.overflow(i).draws_issued for i in range(len(cover))}
     positions = source.draws_issued, {i: k for i, k in overflow.items() if k}
-    assert positions == GOLDEN_STREAM_POSITIONS[dist, n]
+    assert positions == GOLDEN_STREAM_POSITIONS[dist, n], RAN_ON
 
 
 # Attempts of the sample_array runs above, and the SHA-256 of the int64
@@ -174,7 +181,7 @@ def test_sample_array_selects_golden_blocks(dist, n):
     units = UniformSource(42).units(SLOT * attempts)[::SLOT]
     blocks = select_blocks(cover.cumulative, guide_table(cover.cumulative), units)
     digest = hashlib.sha256(blocks.astype(np.int64).tobytes()).hexdigest()
-    assert (attempts, digest) == GOLDEN_SELECTION[dist, n]
+    assert (attempts, digest) == GOLDEN_SELECTION[dist, n], RAN_ON
 
 
 def test_written_floats_stay_on_the_writer_fast_path(tmp_path, capsys, monkeypatch):
@@ -216,7 +223,7 @@ def test_long_sample_matches_golden_digest(tmp_path, capsys, dist, n, fmt):
     )
     assert code == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_LONG_SAMPLE_SHA256[dist, n, fmt]
+    assert digest == GOLDEN_LONG_SAMPLE_SHA256[dist, n, fmt], RAN_ON
 
 
 @pytest.mark.parametrize("dist", sorted(distributions.TARGETS))
@@ -244,7 +251,7 @@ def test_header_only_sample_output(capsys, dist, fmt):
 def test_zigg_table_matches_golden_digest(capsys):
     code, out, _ = run_cli(capsys, "zigg-table", "--layers", "128")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ZIGG_TABLE_128_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ZIGG_TABLE_128_SHA256, RAN_ON
 
 
 # JSON output on stdout, generated the same way. The layer-table digest
@@ -262,7 +269,7 @@ GOLDEN_JSON_SHA256 = {
 def test_json_output_matches_golden_digest(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv], RAN_ON
 
 
 # SHA-256 of the `validate --n 2000 --seed 42` report, generated the same
@@ -288,7 +295,7 @@ def test_validate_report_matches_golden_digest(capsys, dist):
     p_value = gof.pop("p_value")
     assert math.isclose(p_value, chi2.sf(gof["statistic"], gof["dof"]), rel_tol=1e-12)
     digest = hashlib.sha256((json.dumps(doc, indent=2) + "\n").encode()).hexdigest()
-    assert digest == GOLDEN_VALIDATE_SHA256[dist]
+    assert digest == GOLDEN_VALIDATE_SHA256[dist], RAN_ON
 
 
 # The golden runs whose bytes pass through numpy's sin and cos: the

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ def test_blockset_cumulative_ends_at_one(arcsine_blocks, mixture_blocks, zigg_bl
         assert cum.dtype == np.float64 and cum[:-1].tolist() == running[:-1]
         with pytest.raises(ValueError):
             cum[0] = 0.0
+
+
+def test_blockset_blocks_cannot_change_under_their_weights(arcsine_blocks):
+    # the weights, guide table, bands and kinds are built once, from a tuple
+    cover = distributions.TARGETS["arcsine-mod"].cover()
+    with pytest.raises(AttributeError):
+        cover.blocks.append(rect_block(0.0, 1.0, 0.0, 1.0))
+    assert len(cover) == len(cover.cumulative) == 8
+    for table in (cover.guide, cover.bands, cover.kind_of, cover.row_of, cover.kinds[0][1]):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    from_generator = BlockSet(block for block in arcsine_blocks.blocks)
+    assert from_generator.blocks == arcsine_blocks.blocks
+    assert from_generator.cumulative.tobytes() == arcsine_blocks.cumulative.tobytes()
 
 
 def test_exact_adoption_rate_single_exact_block():
@@ -459,6 +474,46 @@ def test_validate_rejects_probe_bounds_of_the_wrong_dimension(request, density, 
             n_probe=10_000, probe_bounds=bounds,
         )
     assert calls == []
+
+
+def _two_rectangles():
+    return BlockSet([
+        rect_block(-4.0, 0.0, 0.0, 1.0, label="left"), rect_block(0.0, 4.0, 0.0, 1.0, label="right"),
+    ])
+
+
+def _one_slab():
+    return BlockSet([slab_block(((0.0, 1.0), (0.0, 1.0)), 0.0, 1.0)])
+
+
+def _sample_ten(cover, density):
+    return PatternBlockSampler(density, cover, UniformSource(1)).sample_array(10)
+
+
+@pytest.mark.parametrize("run, cover, density, message", [
+    (_sample_ten, _two_rectangles, "mixture_density",
+     "block 0 ('left'): its kernel returned 1 coordinates for a 2-d density"),
+    (validate_blockset, _two_rectangles, "mixture_density",
+     "block 0 ('left'): its kernel returned 1 coordinates for a 2-d density"),
+    (_sample_ten, _one_slab, "half_normal_density",
+     "block 0 ('slab'): its kernel returned 2 coordinates for a 1-d density"),
+], ids=["rectangles-sample", "rectangles-validate", "slab-sample"])
+def test_cover_of_the_wrong_dimension_names_its_block(request, run, cover, density, message):
+    with pytest.raises(ValueError) as raised:
+        run(cover(), request.getfixturevalue(density))
+    assert str(raised.value) == message
+
+
+def test_readme_library_use_example_runs():
+    # the first python block under "## Library use", run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    points = np.array(namespace["points"])
+    assert points.shape == (10_000, 1)
+    assert ((0.0 <= points) & (points <= 1.0)).all()
 
 
 # ---------------------------------------------------------------------------

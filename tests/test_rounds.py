@@ -163,7 +163,7 @@ def test_base_kernel_rounds_of_one_branch(zigg_layout, zigg_blocks, branch):
 
 @pytest.mark.parametrize("target", sorted(TARGETS))
 def test_shipped_targets_never_sample_on_the_adapter(zigg_layout, monkeypatch, target):
-    # every block of a shipped cover brings its own kernel, so _Kinds wraps
+    # every block of a shipped cover brings its own kernel, so BlockSet wraps
     # no block in the adapter; only the ziggurat base's kernel hands the
     # adapter rows, and only those of its tail branch
     adapter = core._adapter
