@@ -26,7 +26,6 @@ from .core import (
     RejectionCapError,
     ValidationReport,
     exact_adoption_rate,
-    select_block,
     validate_blockset,
 )
 from .numeric import GofReport, chi_square_gof
@@ -53,7 +52,6 @@ __all__ = [
     "envelope_block",
     "exact_adoption_rate",
     "rect_block",
-    "select_block",
     "slab_block",
     "superlevel_block",
     "validate_blockset",

@@ -12,21 +12,21 @@ PatternBlockSampler runs attempts in numpy rounds. Attempt k reads the
 fixed slot of rng.SLOT main-stream units: its selection unit, then the
 units of its block. A block that needs more reads an overflow stream
 (UniformSource.overflow), that of the first block of its kind. A round
-selects its blocks through the BlockSet's guide table (Chen and Asau 1974)
-in O(1) per attempt, with the index select_block gives. Every block kind
-samples all of a round's attempts in one call of its Kernel, on arrays
-gathered with take; a block without one runs its scalar sample_uniform
-attempt by attempt through one adapter, on the same units, with the same
-result. Every shipped block has a kernel. The density is evaluated once a
-round, on the (m, dim) array of the round's points, and once on the probe
-grid of validate_blockset's cover scan.
+selects, for each attempt's selection unit u, the block of the smallest i
+with u < cumulative[i], through BlockSet.select and its guide table (Chen
+and Asau 1974), in O(1) per attempt. Every block kind samples all of a
+round's attempts in one call of its Kernel, on arrays gathered with take;
+a block without one runs its scalar sample_uniform attempt by attempt
+through one adapter, on the same units, with the same result. Every
+shipped block has a kernel. The density is evaluated once a round, on the
+(m, dim) array of the round's points, and once on the probe grid of
+validate_blockset's cover scan.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
@@ -41,7 +41,7 @@ Point = tuple[float, ...]
 REJECTION_CAP = 1_000_000  # consecutive rejections that end a sample_array call
 ROUND = 4096  # most attempts one sampling round draws
 
-VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap fraction
+VALIDATE_TOLERANCE = 1e-12  # unprobed gap under the graph; forgiven overlap and K / nu(B) - 1
 OVERLAP_SEED = 0  # stream of validate_blockset's overlap probes
 HEIGHT_RUNGS = 8  # cover probe heights per grid point, from 0 up to the graph
 
@@ -212,15 +212,16 @@ def _band_sample(footprint):
 
 
 class BlockSet:
-    """A tuple of pattern blocks and the read-only tables built from it
-    once: cumulative, whose float64 entry i is the in-order sum of the
-    measures of blocks 0..i over the total, the last forced to exactly 1.0
-    so selection is total on [0, 1); guide, its guide table; bands, the
-    (2, n) array of the blocks' height bands. sample_blocks makes one call
-    per block kind (see Kernel; a block without a kernel is a kind of its
-    own, on the adapter). The contract (blocks overlap only on measure-zero
-    sets and jointly cover the density's subgraph) is checked statistically
-    by validate_blockset, not symbolically."""
+    """A tuple of pattern blocks and the read-only tables built from it once:
+    cumulative, whose float64 entry i is the in-order sum of the measures
+    of blocks 0..i over the total, the last forced to exactly 1.0 so
+    selection is total on [0, 1); guide, its guide table; bands, the (2, n)
+    array of the blocks' height bands. select picks blocks by measure, on
+    cumulative; sample_blocks makes one call per block kind (see Kernel; a
+    block without a kernel is a kind of its own, on the adapter). The
+    contract (blocks overlap only on measure-zero sets and jointly cover
+    the density's subgraph) is checked statistically by validate_blockset,
+    not symbolically."""
 
     def __init__(self, blocks: Sequence[PatternBlock]):
         blocks = tuple(blocks)
@@ -234,7 +235,11 @@ class BlockSet:
         self.blocks = blocks
         self.cumulative = cumulative
         self.total_measure = total
-        self.guide = guide_table(cumulative)
+        # Chen and Asau's guide table: entry j is the block of unit j / M, M
+        # the smallest power of two at least twice the number of blocks, so
+        # u * M and j / M are exact and floor(u * M) is u's bucket
+        m = 1 << (2 * len(blocks) - 1).bit_length()
+        self.guide = np.searchsorted(cumulative, np.arange(m) / m, side="right")
         self.bands = np.array([b.height_band for b in blocks]).T
         # kind_of and row_of map a block to its kind and its row of the kind's params
         kernels = [b.kernel or Kernel(_adapter(b.sample_uniform)) for b in blocks]
@@ -255,6 +260,19 @@ class BlockSet:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    def select(self, u: np.ndarray) -> np.ndarray:
+        """The block of each unit of u in [0, 1): the smallest i with
+        u < cumulative[i]. The walk starts at the guide entry of u's
+        bucket, which is at most the answer, and steps on while
+        u >= cumulative[i]; it ends, as the last entry is 1.0, and averaged
+        over u makes at most 1 + len(self) / len(guide) <= 1.5 comparisons."""
+        i = self.guide.take((u * len(self.guide)).astype(np.intp))
+        while True:
+            step = u >= self.cumulative.take(i)
+            if not step.any():
+                return i
+            i += step
 
     def sample_blocks(self, blocks: np.ndarray, units: np.ndarray, source: UniformSource, dim: int):
         """Points (m, dim) and heights (m,) of m attempts, attempt k a
@@ -289,34 +307,6 @@ class BlockSet:
             if used is not None:
                 reads.append((stream, mark, attempts, used))
         return columns.T, heights, reads
-
-
-# select_block(cumulative, u): smallest index i with u < cumulative[i]; one
-# always exists for u in [0, 1), as the last entry is 1.0.
-select_block = bisect_right
-
-
-def guide_table(cumulative: np.ndarray) -> np.ndarray:
-    """Chen and Asau's guide table of a selection: entry j is
-    select_block(cumulative, j / M) for M buckets, M the smallest power of
-    two at least twice the number of blocks. M being a power of two makes
-    u * M and j / M exact, so floor(u * M) is u's bucket."""
-    m = 1 << (2 * len(cumulative) - 1).bit_length()
-    return np.searchsorted(cumulative, np.arange(m) / m, side="right")
-
-
-def select_blocks(cumulative: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """select_block on each unit of u, the selection of a sampling round:
-    start at the guide entry of u's bucket, which is at most the answer,
-    and step on while u >= cumulative[i]. The walk ends, as the last
-    cumulative entry is 1.0; averaged over u it makes at most
-    1 + len(cumulative) / M <= 1.5 comparisons."""
-    i = guide.take((u * len(guide)).astype(np.intp))
-    while True:
-        step = u >= cumulative.take(i)
-        if not step.any():
-            return i
-        i += step
 
 
 def exact_adoption_rate(density: Density, blockset: BlockSet) -> float:
@@ -534,25 +524,27 @@ def _evaluate(density, points):
 class PatternBlockSampler:
     """Accept/reject sampler over a validated block set.
 
-    Each attempt takes one selection unit, picks a block with select_block's
-    rule on blockset.cumulative, through blockset.guide, samples it through
-    blockset.sample_blocks, and accepts when the height lies under the
-    density graph (inclusive comparison; the boundary has measure zero, the
-    choice is fixed for determinism). Attempts run in rounds of at most
-    ROUND, each sized to the points still needed at the exact adoption
-    rate; after a round the streams are rewound to just after the last
-    attempt used, so the points depend only on the seed, never on round or
-    call sizes. attempts counts attempts through the last accepted point
-    and accepted counts returned samples, so accepted / attempts estimates
-    the adoption rate. The density is evaluated once a round, on the
-    round's points; an evaluate that does not return one value per point
-    raises DensityValueError. A rejected attempt whose density value is
-    NaN or negative raises DensityValueError too; REJECTION_CAP consecutive
-    rejections within one call raise RejectionCapError. These two are
-    raised at the first such attempt in attempt order; an attempt that is
-    both the cap-th rejection and a NaN or negative value raises
-    DensityValueError. empirical_rate is None before the first attempt.
-    One sampler per thread; the underlying source must not be shared.
+    Each attempt takes one selection unit, picks a block through
+    blockset.select, samples it through blockset.sample_blocks, and accepts
+    when the height lies under the density graph (inclusive comparison; the
+    boundary has measure zero, the choice is fixed for determinism). A
+    block set whose measure is below K beyond rounding cannot cover the
+    density's subgraph, so it raises ValueError at construction. Attempts
+    run in rounds of at most ROUND, each sized to the points still needed
+    at the exact adoption rate; after a round the streams are rewound to
+    just after the last attempt used, so the points depend only on the
+    seed, never on round or call sizes. attempts counts attempts through
+    the last accepted point and accepted counts returned samples, so
+    accepted / attempts estimates the adoption rate. The density is
+    evaluated once a round, on the round's points; an evaluate that does
+    not return one value per point raises DensityValueError. A rejected
+    attempt whose density value is NaN or negative raises DensityValueError
+    too; REJECTION_CAP consecutive rejections within one call raise
+    RejectionCapError. These two are raised at the first such attempt in
+    attempt order; an attempt that is both the cap-th rejection and a NaN
+    or negative value raises DensityValueError. empirical_rate is None
+    before the first attempt. One sampler per thread; the underlying source
+    must not be shared.
     """
 
     def __init__(self, density: Density, blockset: BlockSet, source: UniformSource):
@@ -561,7 +553,12 @@ class PatternBlockSampler:
         self.source = source
         self.attempts = 0
         self.accepted = 0
-        self._rate = min(1.0, exact_adoption_rate(density, blockset))
+        self._rate = exact_adoption_rate(density, blockset)
+        if self._rate > 1.0 + VALIDATE_TOLERANCE:
+            raise ValueError(
+                f"K = {density.K!r} exceeds the block set's measure "
+                f"{blockset.total_measure!r}; a cover of the density's subgraph has at least K"
+            )
 
     def sample_many(self, n: int) -> list[Point]:
         """n accepted points as tuples of floats: sample_array's rows."""
@@ -583,7 +580,7 @@ class PatternBlockSampler:
                 # only rejections doubles the next one
                 m = min(ROUND, max(streak, math.ceil(need / self._rate)))
                 units = self.source.units(SLOT * m).reshape(m, SLOT)
-                blocks = select_blocks(self.blockset.cumulative, self.blockset.guide, units[:, 0])
+                blocks = self.blockset.select(units[:, 0])
                 points, heights, reads = self.blockset.sample_blocks(
                     blocks, units, self.source, self.density.dim
                 )

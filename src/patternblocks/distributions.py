@@ -37,14 +37,12 @@ ARCSINE_NODES = 8  # Gauss-Legendre nodes of arcsine_modulated_mass
 
 def arcsine_pdf(x):
     """Beta(1/2, 1/2) density 1 / (pi sqrt(x (1 - x))); +inf at 0 and 1 and
-    outside [0, 1]. On a Python float or a numpy array: sqrt, products and
-    quotients are correctly rounded in math and numpy alike, so both give
-    the same bits."""
+    outside [0, 1]. On a numpy array, or a Python float, for which it
+    returns an np.float64 (a float): sqrt, products and quotients are
+    correctly rounded, so one formula gives math's bits on a float."""
     t = x * (1.0 - x)
-    if isinstance(t, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(t > 0.0, 1.0 / (math.pi * np.sqrt(t)), math.inf)
-    return 1.0 / (math.pi * math.sqrt(t)) if t > 0.0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0.0, 1.0 / (math.pi * np.sqrt(t)), math.inf)[()]
 
 
 def arcsine_cdf(x: float) -> float:

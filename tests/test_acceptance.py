@@ -3,6 +3,7 @@ pass/fail line with the measured quantity (run pytest with -s or -rA to see
 the lines)."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,11 +11,7 @@ from scipy.stats import kstest
 
 from patternblocks import distributions, numeric
 from patternblocks.cli import main
-from patternblocks.core import (
-    PatternBlockSampler,
-    exact_adoption_rate,
-    select_block,
-)
+from patternblocks.core import PatternBlockSampler, exact_adoption_rate
 from patternblocks.distributions import (
     B0,
     B1,
@@ -148,7 +145,7 @@ def test_criterion_09_selection_law(mixture_blocks):
     counts = [0] * len(mixture_blocks)
     cumulative = mixture_blocks.cumulative
     for _ in range(n):
-        counts[select_block(cumulative, source.next_unit())] += 1
+        counts[bisect_right(cumulative, source.next_unit())] += 1
     worst_z = 0.0
     for block, observed in zip(mixture_blocks.blocks, counts):
         p = block.measure / mixture_blocks.total_measure

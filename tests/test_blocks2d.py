@@ -214,7 +214,7 @@ def test_superlevel_inner_cap_fires(monkeypatch):
         block.sample_uniform(UniformSource(19))
     density = Density(
         dim=2, evaluate=lambda p: np.ones(len(p)), domain_bounds=((0.0, 1.0), (0.0, 1.0)),
-        K=1e-3,
+        K=block.measure,
     )
     sampler = PatternBlockSampler(density, BlockSet([block]), UniformSource(19))
     with pytest.raises(RejectionCapError, match="exhausted 20 proposals"):

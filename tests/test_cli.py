@@ -19,7 +19,7 @@ from patternblocks import cli, distributions, output
 from patternblocks.blocks2d import cylinder_block, slab_block, superlevel_block
 from patternblocks.cli import _parser, main
 from patternblocks.distributions import B0, B1, B2, B3
-from patternblocks.core import BlockSet, Density, PatternBlockSampler, guide_table, select_blocks
+from patternblocks.core import BlockSet, Density, PatternBlockSampler
 from patternblocks.rng import SLOT, UniformSource
 
 # the golden digests rest on numpy's float arithmetic: a failing one names
@@ -179,7 +179,7 @@ def test_sample_array_selects_golden_blocks(dist, n):
     attempts = sampler.attempts
     # attempt k's selection unit is the first of its slot
     units = UniformSource(42).units(SLOT * attempts)[::SLOT]
-    blocks = select_blocks(cover.cumulative, guide_table(cover.cumulative), units)
+    blocks = cover.select(units)
     digest = hashlib.sha256(blocks.astype(np.int64).tobytes()).hexdigest()
     assert (attempts, digest) == GOLDEN_SELECTION[dist, n], RAN_ON
 
@@ -342,6 +342,98 @@ def test_numpy_sin_and_cos_match_math_on_golden_arguments(tmp_path, capsys, monk
             )
 
 
+# np.exp at the arguments the densities pass it on the first 16 accepted
+# points of the seed-42 sample_array runs above (for the mixture, its two
+# terms in turn), as float.hex (argument, value) pairs taken at commit
+# 07167db. np.exp decides accepts; a host whose numpy rounds one of these
+# differently fails here, with the argument.
+GOLDEN_EXP = {
+    "half-normal-zigg": [
+        ('-0x1.a1264db79c9e5p+0', '0x1.9177da71f3474p-3'),
+        ('-0x1.5178b31096e90p-3', '0x1.b2377713f5055p-1'),
+        ('-0x1.8c60b158baf29p-5', '0x1.e7d0f1d00b589p-1'),
+        ('-0x1.4820ec5afae3bp-2', '0x1.73a01e7a848a4p-1'),
+        ('-0x1.d1ac7d8724450p-1', '0x1.9c621076ec9c4p-2'),
+        ('-0x1.00995b74ee123p+1', '0x1.13df5dd19d9efp-3'),
+        ('-0x1.ed0b9c9c5f17bp-2', '0x1.3c5873a6a2568p-1'),
+        ('-0x1.c7e64594593d4p-3', '0x1.99d1dba428b84p-1'),
+        ('-0x1.58b803d5f09edp-3', '0x1.b0aecbee92df3p-1'),
+        ('-0x1.28df3874e1c20p-6', '0x1.f6ce696d1edb9p-1'),
+        ('-0x1.fe024a233938ep-2', '0x1.3725ea1ca27fbp-1'),
+        ('-0x1.884d415ed6d71p-2', '0x1.5d0d000f5b398p-1'),
+        ('-0x1.22cd8964a2194p-4', '0x1.dce8f6d9ade3ep-1'),
+        ('-0x1.1eeb5534eb714p+0', '0x1.4dd9bd11c950fp-2'),
+        ('-0x1.57da564e3bb21p-6', '0x1.f55dd78d5f479p-1'),
+        ('-0x1.18b3ddb8af65dp-1', '0x1.27eaa06f8fc5bp-1'),
+    ],
+    "gauss-mix-2d": [
+        ('-0x1.334136ef5fd7cp+3', '0x1.1b96df01dbd15p-14'),
+        ('-0x1.82b792836700cp-1', '0x1.e124aaff02cfdp-2'),
+        ('-0x1.feae0af2212e6p+2', '0x1.6716d7318162cp-12'),
+        ('-0x1.0475a6d3b1f90p+0', '0x1.7233f9be638bdp-2'),
+        ('-0x1.7560762903200p-1', '0x1.edd8227d65981p-2'),
+        ('-0x1.35fb9270415a5p-1', '0x1.1777f0f318753p-1'),
+        ('-0x1.32c9ba05e3111p-1', '0x1.1937bf3f8278ep-1'),
+        ('-0x1.868ec02b2fec2p+2', '0x1.254108b3895d1p-9'),
+        ('-0x1.43c796468ba07p+0', '0x1.2114c92e631fap-2'),
+        ('-0x1.1a1e527218636p+3', '0x1.3707ae0d880b6p-13'),
+        ('-0x1.25169e2946d95p+0', '0x1.45e6cdf8b1dd6p-2'),
+        ('-0x1.a0f2ccf743af2p+1', '0x1.3b4b1ccadb10fp-5'),
+        ('-0x1.677d3c52d7346p-1', '0x1.fb6c388b0e952p-2'),
+        ('-0x1.b66a6a9534215p+2', '0x1.15a970ed2dc01p-10'),
+        ('-0x1.d7cca6518eb61p+0', '0x1.444b6e795cf97p-3'),
+        ('-0x1.0dbb4ae599d9ep+4', '0x1.99c8d03a67b18p-25'),
+        ('-0x1.757bd0c7de3e9p-4', '0x1.d361372af3871p-1'),
+        ('-0x1.4007b8a779550p+3', '0x1.7c7bc1a0aabb2p-15'),
+        ('-0x1.482b8ba432637p+0', '0x1.1c2a68413ee6bp-2'),
+        ('-0x1.b1997171d8b7cp+1', '0x1.14d58293ad8d2p-5'),
+        ('-0x1.20dfb098b37bcp+2', '0x1.67155bd927e2cp-7'),
+        ('-0x1.94cfa346982d7p+2', '0x1.d568e5145ac34p-10'),
+        ('-0x1.9980a9696f1b2p+3', '0x1.73aca2d335425p-19'),
+        ('-0x1.acb1bf4463af0p-1', '0x1.bb4505a907554p-2'),
+        ('-0x1.919e96d144274p+2', '0x1.ed697fb72c2edp-10'),
+        ('-0x1.dd9db61a4b271p-5', '0x1.e300a58a6b8b3p-1'),
+        ('-0x1.27c1f9df36838p+3', '0x1.962f6a58cb92bp-14'),
+        ('-0x1.57285f2fe2b79p+2', '0x1.3383343d00ef9p-8'),
+        ('-0x1.7665a57571011p+2', '0x1.797dd3664def6p-9'),
+        ('-0x1.1cd3d21670352p-2', '0x1.83ad581eed1cep-1'),
+        ('-0x1.d2479c9833176p+3', '0x1.f84d1cf5d8d2fp-22'),
+        ('-0x1.bd5f908da9231p+0', '0x1.678f38302197fp-3'),
+    ],
+}
+
+
+@pytest.mark.parametrize("dist", sorted(GOLDEN_EXP))
+def test_numpy_exp_matches_golden_values(monkeypatch, dist):
+    x, want = np.array([[float.fromhex(h) for h in pair] for pair in GOLDEN_EXP[dist]]).T
+    got = np.exp(x)
+    wrong = np.flatnonzero(got != want)
+    if wrong.size:
+        k = wrong[0]
+        pytest.fail(
+            f"np.exp({float(x[k])!r}) = {float(got[k]).hex()} but {float(want[k]).hex()} "
+            f"was pinned; {wrong.size} of {x.size} golden arguments differ; {RAN_ON}"
+        )
+    # the table still holds the arguments the golden run passes np.exp; its
+    # first 16 points do not depend on the call size
+    target = distributions.TARGETS[dist]
+    density = target.density()
+    points = PatternBlockSampler(density, target.cover(), UniformSource(42)).sample_array(16)
+    seen = []
+    exp = np.exp
+
+    def recorded(x, *args, **kwargs):
+        seen.append(np.array(x, float).ravel())
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recorded)
+    density.evaluate(points)
+    monkeypatch.undo()
+    assert np.concatenate(seen).tolist() == x.tolist(), (
+        f"the golden run's first 16 points no longer pass np.exp the pinned arguments; {RAN_ON}"
+    )
+
+
 def test_sample_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -408,12 +500,13 @@ def test_validate_reports_corrupted_blockset(capsys, monkeypatch):
 
 
 def test_sample_rejection_cap_exit_code(capsys, monkeypatch):
-    # a block sitting above a bounded density can never be accepted
+    # a block sitting above a bounded density can never be accepted; K is
+    # the block's measure, 0.4, as the sampler rejects a cover below K
     from patternblocks.blocks1d import rect_block
 
     impossible = distributions.Target(
         density=lambda: Density(
-            dim=1, evaluate=lambda p: np.full(len(p), 0.5), domain_bounds=((0.0, 1.0),), K=0.5
+            dim=1, evaluate=lambda p: np.full(len(p), 0.5), domain_bounds=((0.0, 1.0),), K=0.4
         ),
         cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)]),
         probe_bounds=None,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,6 @@ from patternblocks.core import (
     PatternBlockSampler,
     RejectionCapError,
     exact_adoption_rate,
-    guide_table,
-    select_block,
-    select_blocks,
     validate_blockset,
 )
 from patternblocks.distributions import (
@@ -53,28 +51,27 @@ def _constant_density(value, K=1.0):
 # selection
 
 
+def _cover(measures):
+    """Block set of rectangles [0, m] x [0, 1], one of measure m per entry."""
+    return BlockSet([rect_block(0.0, m, 0.0, 1.0) for m in measures])
+
+
 def test_select_single_block():
-    assert select_block([1.0], 0.999) == 0
+    assert _cover([1.0]).select(np.array([0.999])).tolist() == [0]
 
 
 def test_select_boundary_is_strict():
     # u equal to a cumulative entry belongs to the next block
-    assert select_block([0.5, 1.0], 0.5) == 1
-    assert select_block([0.5, 1.0], 0.4999999) == 0
+    cover = _cover([0.5, 0.5])
+    assert cover.cumulative.tolist() == [0.5, 1.0]
+    assert cover.select(np.array([0.5, 0.4999999])).tolist() == [1, 0]
 
 
 def test_select_first_block_on_zero_with_arcsine_weights():
     deltas = [arcsine_cdf(i / 8) - arcsine_cdf((i - 1) / 8) for i in range(1, 9)]
-    measures = [arcsine_strip_scale(i) * d for i, d in zip(range(1, 9), deltas)]
-    total = sum(measures)
-    cumulative = []
-    acc = 0.0
-    for m in measures:
-        acc += m
-        cumulative.append(acc / total)
-    cumulative[-1] = 1.0
-    assert cumulative[0] > 0.0
-    assert select_block(cumulative, 0.0) == 0
+    cover = _cover([arcsine_strip_scale(i) * d for i, d in zip(range(1, 9), deltas)])
+    assert cover.cumulative[0] > 0.0
+    assert cover.select(np.array([0.0])).tolist() == [0]
 
 
 @given(
@@ -91,30 +88,29 @@ def test_select_first_block_on_zero_with_arcsine_weights():
 @example([1e-12] * 50 + [1.0], 0.0)
 @example([1.0] * 300, 1.0 - 2.0**-53)
 def test_select_matches_linear_scan(measures, u):
-    # select_block and the rounds' guide-table selection, on u, 0, every
-    # cumulative entry, its neighbours and the largest unit below 1
-    total = sum(measures)
-    cumulative = []
-    acc = 0.0
-    for m in measures:
-        acc += m
-        cumulative.append(acc / total)
-    cumulative[-1] = 1.0
-    array = np.array(cumulative)
+    # bisect_right, the reference, and the rounds' guide-table selection,
+    # on u, 0, every cumulative entry, its neighbours and the largest unit
+    # below 1
+    cover = _cover(measures)
+    array = cover.cumulative
+    cumulative = array.tolist()
     units = [u, 0.0, *array, *np.nextafter(array, 0.0), *np.nextafter(array, 1.0), 1.0 - 2.0**-53]
     units = np.array([v for v in units if v < 1.0])
     linear = [next(i for i, c in enumerate(cumulative) if v < c) for v in units.tolist()]
-    assert [select_block(cumulative, v) for v in units.tolist()] == linear
-    assert select_blocks(array, guide_table(array), units).tolist() == linear
+    assert [bisect_right(cumulative, v) for v in units.tolist()] == linear
+    assert cover.select(units).tolist() == linear
 
 
 def test_guide_table_with_tied_cumulative_entries():
-    cumulative = np.array([0.25, 0.25, 0.25, 0.5, 0.5, 1.0])
-    guide = guide_table(cumulative)
-    m = len(guide)
-    assert m == 16 and guide.tolist() == [select_block(cumulative, j / m) for j in range(m)]
+    # blocks of 1e-20 next to 0.25 add nothing to the running sum, so their
+    # cumulative entries tie with the block before them
+    cover = _cover([0.25, 1e-20, 1e-20, 0.25, 1e-20, 0.5])
+    cumulative = cover.cumulative.tolist()
+    assert cumulative == [0.25, 0.25, 0.25, 0.5, 0.5, 1.0]
+    m = len(cover.guide)
+    assert m == 16 and cover.guide.tolist() == [bisect_right(cumulative, j / m) for j in range(m)]
     units = np.array([0.0, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0 - 2.0**-53])
-    assert select_blocks(cumulative, guide, units).tolist() == [0, 0, 3, 3, 5, 5, 5]
+    assert cover.select(units).tolist() == [0, 0, 3, 3, 5, 5, 5]
 
 
 def test_selection_frequencies(arcsine_blocks):
@@ -122,7 +118,7 @@ def test_selection_frequencies(arcsine_blocks):
     n = 200_000
     counts = [0] * len(arcsine_blocks)
     for _ in range(n):
-        counts[select_block(arcsine_blocks.cumulative, source.next_unit())] += 1
+        counts[bisect_right(arcsine_blocks.cumulative, source.next_unit())] += 1
     for block, observed in zip(arcsine_blocks.blocks, counts):
         p = block.measure / arcsine_blocks.total_measure
         sigma = math.sqrt(n * p * (1.0 - p))
@@ -190,6 +186,14 @@ def test_blockset_blocks_cannot_change_under_their_weights(arcsine_blocks):
 def test_exact_adoption_rate_single_exact_block():
     blockset = BlockSet([rect_block(0.0, 1.0, 0.0, 1.0)])
     assert exact_adoption_rate(_uniform_density(), blockset) == 1.0
+
+
+def test_sampler_rejects_a_cover_smaller_than_k():
+    # [0, 0.5] x [0, 1] misses half the subgraph of the uniform density on
+    # [0, 1]; sampled, it would give points below 0.5 only, at rate 1
+    blockset = BlockSet([rect_block(0.0, 0.5, 0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"K = 1\.0 exceeds the block set's measure 0\.5"):
+        PatternBlockSampler(_uniform_density(), blockset, UniformSource(0))
 
 
 @given(
@@ -260,23 +264,24 @@ def test_arcsine_empirical_rate(arcsine_density, arcsine_blocks):
 
 
 def test_rejection_cap_fires(monkeypatch):
-    # block sits entirely above the graph, so nothing is ever accepted
-    density = _constant_density(0.5, K=0.5)
+    # block sits entirely above the graph, so nothing is ever accepted; K
+    # is the block's measure, as the sampler rejects a cover below K
     blockset = BlockSet([rect_block(0.0, 1.0, 0.6, 1.0)])
+    density = _constant_density(0.5, K=blockset.total_measure)
     monkeypatch.setattr(core, "REJECTION_CAP", 500)
     sampler = PatternBlockSampler(density, blockset, UniformSource(0))
     with pytest.raises(RejectionCapError):
         sampler.sample_many(1)
 
 
-def _scripted_density(values):
+def _scripted_density(values, K=1.0):
     """Density whose k-th evaluation returns values[k], then 0.0."""
     calls = iter(values)
     return Density(
         dim=1,
         evaluate=lambda p: np.array([next(calls, 0.0) for _ in p]),
         domain_bounds=((0.0, 1.0),),
-        K=1.0,
+        K=K,
     )
 
 
@@ -284,7 +289,7 @@ def test_counters_exact_after_cap_error_mid_batch(monkeypatch):
     # five accepted attempts, then nothing under the graph
     monkeypatch.setattr(core, "REJECTION_CAP", 50)
     sampler = PatternBlockSampler(
-        _scripted_density([1.0] * 5),
+        _scripted_density([1.0] * 5, K=0.5),
         BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]),
         UniformSource(3),
     )
@@ -297,13 +302,14 @@ def test_cap_counts_consecutive_rejections_per_sample(monkeypatch):
     # every sample takes two rejections, then an acceptance
     script = [0.0, 0.0, 1.0] * 100
     blockset = BlockSet([rect_block(0.0, 1.0, 0.1, 0.5)])
+    K = blockset.total_measure
     monkeypatch.setattr(core, "REJECTION_CAP", 3)
-    sampler = PatternBlockSampler(_scripted_density(script), blockset, UniformSource(4))
+    sampler = PatternBlockSampler(_scripted_density(script, K), blockset, UniformSource(4))
     assert len(sampler.sample_many(100)) == 100
     assert (sampler.accepted, sampler.attempts) == (100, 300)
 
     monkeypatch.setattr(core, "REJECTION_CAP", 2)
-    sampler = PatternBlockSampler(_scripted_density(script), blockset, UniformSource(4))
+    sampler = PatternBlockSampler(_scripted_density(script, K), blockset, UniformSource(4))
     with pytest.raises(RejectionCapError):
         sampler.sample_many(100)
     assert (sampler.accepted, sampler.attempts) == (0, 2)
@@ -312,7 +318,7 @@ def test_cap_counts_consecutive_rejections_per_sample(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, -0.25])
 def test_nan_or_negative_density_fails_fast(bad):
     sampler = PatternBlockSampler(
-        _scripted_density([1.0, 1.0, bad]),
+        _scripted_density([1.0, 1.0, bad], K=0.5),
         BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]),
         UniformSource(5),
     )

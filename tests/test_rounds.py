@@ -3,6 +3,7 @@ scalar samplers, and the vectorized selection."""
 
 import dataclasses
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,9 +15,6 @@ from patternblocks.core import (
     Density,
     PatternBlockSampler,
     RejectionCapError,
-    guide_table,
-    select_block,
-    select_blocks,
 )
 from patternblocks.rng import SLOT, UniformSource
 
@@ -71,7 +69,7 @@ def test_rejection_cap_counts_across_rounds(monkeypatch):
         dim=1,
         evaluate=lambda p: np.array([next(calls, 0.0) for _ in p]),
         domain_bounds=((0.0, 1.0),),
-        K=1.0,
+        K=0.5,  # the cover's measure
     )
     sampler = PatternBlockSampler(
         density, BlockSet([rect_block(0.0, 1.0, 0.0, 0.5)]), UniformSource(3)
@@ -196,18 +194,17 @@ def test_shipped_targets_never_sample_on_the_adapter(zigg_layout, monkeypatch, t
 
 @pytest.mark.parametrize("cover", COVERS)
 def test_round_selection_matches_select_block(request, cover):
-    # the guide table, on 0, every cumulative entry, their neighbours on
-    # both sides and the largest unit below 1
-    cumulative = request.getfixturevalue(cover).cumulative
-    array = np.array(cumulative)
-    guide = guide_table(array)
-    m = len(guide)
-    assert m & (m - 1) == 0 and 2 * len(cumulative) <= m < 4 * len(cumulative)
+    # the cover's select against bisect_right, on 0, every cumulative
+    # entry, their neighbours on both sides and the largest unit below 1
+    cover = request.getfixturevalue(cover)
+    array = cover.cumulative
+    m = len(cover.guide)
+    assert m & (m - 1) == 0 and 2 * len(array) <= m < 4 * len(array)
     units = np.array([0.0, *array, *np.nextafter(array, 0.0), *np.nextafter(array, 1.0),
                       1.0 - 2.0**-53])
     units = units[units < 1.0]
-    assert select_blocks(array, guide, units).tolist() == [
-        select_block(cumulative, u) for u in units.tolist()
+    assert cover.select(units).tolist() == [
+        bisect_right(array, u) for u in units.tolist()
     ]
 
 

@@ -29,7 +29,6 @@ PUBLIC = [
     "envelope_block",
     "exact_adoption_rate",
     "rect_block",
-    "select_block",
     "slab_block",
     "superlevel_block",
     "validate_blockset",
