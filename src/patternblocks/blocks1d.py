@@ -27,8 +27,7 @@ from .core import BlockSet, Kernel, PatternBlock, _adapter, band_block, formula_
 from .rng import UniformSource
 
 R_BRACKET = (1e-3, 20.0)  # build_ziggurat bisects the tail start r in here
-X_TOL = 1e-12  # implied x_0 that ends the bisection
-AREA_TOL = 1e-11  # top-layer area residual that ends it too
+AREA_TOL = 1e-11  # top-layer area residual that ends the bisection
 MAX_BISECTIONS = 200
 
 
@@ -149,20 +148,18 @@ def build_ziggurat(
 
     Bisects on r = x[-1] within R_BRACKET: the common area is
     v = r f(r) + tail_mass(r), and walking x_{i-1} = f_inv(f(x_i) + v / x_i)
-    down from r must land on x_0 = 0. Convergence accepts an implied x_0
-    within X_TOL, or a top-layer area residual x_1 * |f(0) - y_0| below
-    AREA_TOL: for densities with a flat peak (f'(0) = 0) the x-space
-    residual floors near sqrt(machine eps), so the area residual is the
-    criterion that actually guards the equal-area invariant. f must
-    integrate to 1 on [0, inf) and f_inv invert it; tail_sampler is the
-    layout's (see ZigguratLayout).
+    down from r must land on x_0 = 0. The bisection stops when the top
+    layer's area residual x_1 * (f(0) - y_0) is at most AREA_TOL (1e-11):
+    that residual is the equal-area invariant itself, whether or not the
+    peak is flat. f must integrate to 1 on [0, inf) and f_inv invert it;
+    tail_sampler is the layout's (see ZigguratLayout).
     """
     if n_layers < 2:
         raise ValueError("need at least 2 layers")
     f0 = f(0.0)
 
     def walk(r: float):
-        """(xs descending to x1, implied x0, v, implied y0), None on overshoot."""
+        """(xs descending to x1, v, implied y0), None on overshoot."""
         v = r * f(r) + tail_mass(r)
         xs = [r]
         y = f(r)
@@ -174,7 +171,7 @@ def build_ziggurat(
         y0 = y + v / xs[-1]
         if y0 > f0:
             return None
-        return xs, f_inv(y0), v, y0
+        return xs, v, y0
 
     lo, hi = R_BRACKET
     if walk(lo) is not None:
@@ -184,8 +181,8 @@ def build_ziggurat(
         raise ZigguratError(f"upper end r = {hi} overshoots; check f and tail_mass")
 
     for _ in range(MAX_BISECTIONS):
-        xs, x0, v, y0 = result
-        if x0 <= X_TOL or xs[-1] * (f0 - y0) <= AREA_TOL:
+        xs, v, y0 = result
+        if xs[-1] * (f0 - y0) <= AREA_TOL:
             xs.append(0.0)
             xs.reverse()
             f_vals = tuple(f(x) for x in xs)
@@ -199,10 +196,9 @@ def build_ziggurat(
             result = attempt
         if hi - lo < 4.0 * math.ulp(hi):
             break
-    xs, x0, v, y0 = result
+    xs, v, y0 = result
     raise ZigguratError(
-        f"bisection did not converge; residual x0 = {x0:.3e}, "
-        f"top-layer area residual = {xs[-1] * (f0 - y0):.3e}"
+        f"bisection did not converge; top-layer area residual = {xs[-1] * (f0 - y0):.3e}"
     )
 
 

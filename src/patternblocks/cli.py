@@ -8,7 +8,8 @@ checks its arguments and opens --out before it builds anything. sample
 and zigg-table write every float exactly as Python's repr, through
 output.write_rows, which formats a chunk of rows at a time in numpy.
 Exit codes: 0 success, 1 failed check, 2 usage error or output that cannot
-be opened or written, 3 numerical failure, 141 stdout closed by its reader.
+be opened or written, 3 numerical failure or a cover that cannot serve its
+density, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import distributions, numeric
 from .blocks1d import ZigguratError, ziggurat_blockset
 from .core import (
+    CoverError,
     DensityValueError,
     PatternBlockSampler,
     RejectionCapError,
@@ -206,7 +208,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DensityValueError, RejectionCapError, ZigguratError) as exc:
+    except (CoverError, DensityValueError, RejectionCapError, ZigguratError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -51,6 +51,10 @@ class RejectionCapError(RuntimeError):
     (adoption rate effectively zero) or the restriction region unreachable."""
 
 
+class CoverError(ValueError):
+    """A cover that cannot serve the density: measure below K, or points of another dimension."""
+
+
 class DensityValueError(RuntimeError):
     """The density returned NaN or a negative value at a sampled point, or
     an array not shaped (m,) for m points."""
@@ -169,13 +173,6 @@ def _formula_sample(point, n_units):
     return sample
 
 
-def check_band(y_lo: float, y_hi: float) -> float:
-    """y_hi - y_lo, after the band rule 0 <= y_lo < y_hi (NaN breaks it)."""
-    if not 0.0 <= y_lo < y_hi:
-        raise ValueError("need 0 <= y_lo < y_hi")
-    return y_hi - y_lo
-
-
 def band_block(
     area: float, sample_point: Callable, in_footprint: Callable,
     y_lo: float, y_hi: float, label: str, footprint: Kernel,
@@ -187,9 +184,11 @@ def band_block(
     form of sample_point: a Kernel whose sample returns (coords, used) for
     the (g, SLOT - 2) units after the height. A sample draws one uniform
     for the height first, then the point; the measure is
-    area * (y_hi - y_lo).
+    area * (y_hi - y_lo), over a band with 0 <= y_lo < y_hi (not NaN).
     """
-    band = check_band(y_lo, y_hi)
+    if not 0.0 <= y_lo < y_hi:
+        raise ValueError("need 0 <= y_lo < y_hi")
+    band = y_hi - y_lo
 
     def sample(source: UniformSource):
         y = y_lo + band * source.next_unit()
@@ -298,7 +297,7 @@ class BlockSet:
                 params.take(rows.take(attempts), 0), units.take(attempts, 0)[:, 1:], stream
             )
             if len(coords) != dim:
-                raise ValueError(
+                raise CoverError(
                     f"{_block_name(self.blocks, block)}: its kernel returned "
                     f"{len(coords)} coordinates for a {dim}-d density"
                 )
@@ -529,9 +528,11 @@ class PatternBlockSampler:
     when the height lies under the density graph (inclusive comparison; the
     boundary has measure zero, the choice is fixed for determinism). A
     block set whose measure is below K beyond rounding cannot cover the
-    density's subgraph, so it raises ValueError at construction. Attempts
-    run in rounds of at most ROUND, each sized to the points still needed
-    at the exact adoption rate; after a round the streams are rewound to
+    density's subgraph, so it raises CoverError, a ValueError, at
+    construction; so does a kernel whose points have another dimension than
+    the density's, at the first round that samples it. Attempts run in
+    rounds of at most ROUND, each sized to the points still needed at the
+    exact adoption rate; after a round the streams are rewound to
     just after the last attempt used, so the points depend only on the
     seed, never on round or call sizes. attempts counts attempts through
     the last accepted point and accepted counts returned samples, so
@@ -555,7 +556,7 @@ class PatternBlockSampler:
         self.accepted = 0
         self._rate = exact_adoption_rate(density, blockset)
         if self._rate > 1.0 + VALIDATE_TOLERANCE:
-            raise ValueError(
+            raise CoverError(
                 f"K = {density.K!r} exceeds the block set's measure "
                 f"{blockset.total_measure!r}; a cover of the density's subgraph has at least K"
             )
@@ -565,59 +566,57 @@ class PatternBlockSampler:
         return list(zip(*self.sample_array(n).T.tolist()))
 
     def sample_array(self, n: int) -> np.ndarray:
-        """n accepted points as an (n, dim) float64 array; the counters
-        stay exact when an error stops the batch part way."""
+        """n accepted points as an (n, dim) float64 array. Each round books
+        its attempts and acceptances before it raises or loops, so the
+        counters stay exact when an error stops the batch part way."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         cap = REJECTION_CAP
         kept = [np.empty((0, self.density.dim))]
-        accepted = attempts = 0
+        accepted = 0
         streak = 0  # consecutive rejections so far
-        try:
-            while accepted < n:
-                need = n - accepted
-                # sized to the need at the adoption rate; a round that met
-                # only rejections doubles the next one
-                m = min(ROUND, max(streak, math.ceil(need / self._rate)))
-                units = self.source.units(SLOT * m).reshape(m, SLOT)
-                blocks = self.blockset.select(units[:, 0])
-                points, heights, reads = self.blockset.sample_blocks(
-                    blocks, units, self.source, self.density.dim
-                )
-                fx = _evaluate(self.density, points)
-                hit = heights <= fx
-                keep = np.flatnonzero(hit)
-                # stop at the need-th acceptance, or at the first failing attempt
-                stop = int(keep[need - 1]) if len(keep) >= need else m - 1
-                fail = bad = ~hit & ~(fx >= 0.0)
-                if streak + m >= cap:  # only then can a run of rejections reach the cap
-                    index = np.arange(m)
-                    streaks = index - np.maximum.accumulate(np.where(hit, index, -1 - streak))
-                    fail = bad | (streaks >= cap)
-                first = int(fail[:stop + 1].argmax())  # 0 when no attempt through stop fails
-                error = None
-                if fail[first]:
-                    stop = first
-                    if bad[stop]:  # a NaN or negative value wins over the cap
-                        error = DensityValueError(
-                            f"density is {float(fx[stop])!r} at {tuple(points[stop].tolist())!r}; "
-                            "it must be nonnegative, not NaN"
-                        )
-                    else:
-                        error = RejectionCapError(
-                            f"{cap} consecutive rejections; block set does not match the density"
-                        )
-                keep = keep[:np.searchsorted(keep, stop, side="right")]
-                kept.append(points.take(keep, 0))
-                accepted += len(keep)
-                attempts += stop + 1
-                streak = stop - int(keep[-1]) if keep.size else streak + stop + 1
-                self._rewind(m, stop, reads)
-                if error is not None:
-                    raise error
-        finally:
-            self.attempts += attempts
-            self.accepted += accepted
+        while accepted < n:
+            need = n - accepted
+            # sized to the need at the adoption rate; a round that met
+            # only rejections doubles the next one
+            m = min(ROUND, max(streak, math.ceil(need / self._rate)))
+            units = self.source.units(SLOT * m).reshape(m, SLOT)
+            blocks = self.blockset.select(units[:, 0])
+            points, heights, reads = self.blockset.sample_blocks(
+                blocks, units, self.source, self.density.dim
+            )
+            fx = _evaluate(self.density, points)
+            hit = heights <= fx
+            keep = np.flatnonzero(hit)
+            # stop at the need-th acceptance, or at the first failing attempt
+            stop = int(keep[need - 1]) if len(keep) >= need else m - 1
+            fail = bad = ~hit & ~(fx >= 0.0)
+            if streak + m >= cap:  # only then can a run of rejections reach the cap
+                index = np.arange(m)
+                streaks = index - np.maximum.accumulate(np.where(hit, index, -1 - streak))
+                fail = bad | (streaks >= cap)
+            first = int(fail[:stop + 1].argmax())  # 0 when no attempt through stop fails
+            error = None
+            if fail[first]:
+                stop = first
+                if bad[stop]:  # a NaN or negative value wins over the cap
+                    error = DensityValueError(
+                        f"density is {float(fx[stop])!r} at {tuple(points[stop].tolist())!r}; "
+                        "it must be nonnegative, not NaN"
+                    )
+                else:
+                    error = RejectionCapError(
+                        f"{cap} consecutive rejections; block set does not match the density"
+                    )
+            keep = keep[:np.searchsorted(keep, stop, side="right")]
+            kept.append(points.take(keep, 0))
+            accepted += len(keep)
+            self.accepted += len(keep)
+            self.attempts += stop + 1
+            streak = stop - int(keep[-1]) if keep.size else streak + stop + 1
+            self._rewind(m, stop, reads)
+            if error is not None:
+                raise error
         return np.concatenate(kept)
 
     def _rewind(self, m: int, stop: int, reads):

@@ -6,8 +6,8 @@ exact to rounding. Expected bin probabilities are never estimated by
 sampling, so the checks stay decoupled from the samplers they judge; the
 half-normal and mixture bins come in closed form (erf and erf products).
 quad_2d_grid is the tests' independent midpoint reference for the mixture
-bins. The package has no KS test of its own; callers that want one use
-scipy.stats.kstest.
+bins, summed one row of grid cells at a time. The package has no KS test
+of its own; callers that want one use scipy.stats.kstest.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from scipy.special import chdtrc  # chi2.sf's own routine, without scipy.stats' 
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
 
-BAND_CELLS = 1 << 16  # grid cells midpoint_bands hands out at a time
 MIN_EXPECTED = 5.0  # expected count below which a chi-square bin is pooled
 
 
@@ -57,35 +56,23 @@ def quad_2d_grid(
 ) -> Quad2DResult:
     """Midpoint-rule tensor quadrature of g over a rectangle, n cells per axis.
 
-    g must broadcast over numpy arrays. The returned error estimate is the
-    Richardson comparison against the half-resolution grid (midpoint rule is
-    second order, so |I_h - I_2h| / 3 bounds the leading error term).
+    g(x, ys) is called on one row of cell midpoints at a time (x a float,
+    ys an array), so memory is bounded for any n. The error estimate is the
+    Richardson comparison with the half-resolution grid: the midpoint rule
+    is second order, so |I_h - I_2h| / 3 bounds the leading error term.
     """
     if n < 2:
         raise ValueError("need at least 2 cells per axis")
-    fine = _midpoint_2d(g, rect, n)
-    coarse = _midpoint_2d(g, rect, n // 2)
+    (x_lo, x_hi), (y_lo, y_hi) = rect
+
+    def midpoint(cells):
+        k = np.arange(cells) + 0.5
+        hx, hy = (x_hi - x_lo) / cells, (y_hi - y_lo) / cells
+        ys = y_lo + hy * k
+        return sum(float(np.sum(g(x, ys))) for x in x_lo + hx * k) * hx * hy
+
+    fine, coarse = midpoint(n), midpoint(n // 2)
     return Quad2DResult(fine, abs(fine - coarse) / 3.0)
-
-
-def _midpoint_2d(g, rect, n):
-    (x_lo, x_hi), (y_lo, y_hi) = rect
-    total = sum(float(np.sum(g(xs, ys))) for xs, ys in midpoint_bands(rect, n))
-    return total * ((x_hi - x_lo) / n) * ((y_hi - y_lo) / n)
-
-
-def midpoint_bands(rect: Rect, n: int):
-    """Cell midpoints of the n x n grid over rect, a band of rows at a time:
-    yields (xs as a column, ys as a row), which broadcast to at most
-    BAND_CELLS cells, so a 2000 x 2000 grid never materializes."""
-    (x_lo, x_hi), (y_lo, y_hi) = rect
-    hx = (x_hi - x_lo) / n
-    hy = (y_hi - y_lo) / n
-    ys = y_lo + hy * (np.arange(n) + 0.5)
-    rows = max(1, BAND_CELLS // n)
-    for start in range(0, n, rows):
-        xs = x_lo + hx * (np.arange(start, min(n, start + rows)) + 0.5)
-        yield xs[:, None], ys[None, :]
 
 
 def bin_probabilities_1d(

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from patternblocks.blocks1d import (
+    AREA_TOL,
     ZigguratError,
     build_ziggurat,
     envelope_block,
@@ -192,6 +193,21 @@ def test_build_ziggurat_bad_bracket():
             half_normal_pdf, 128, lambda r: 10.0, half_normal_pdf_inv, half_normal_tail_sampler
         )
 
+
+@pytest.mark.parametrize("n_layers", [2, 3, 8, 128])
+@pytest.mark.parametrize("rate", [1.0, 10.0, 20.0])
+def test_stopping_rule_on_a_peak_that_is_not_flat(rate, n_layers):
+    # the rate-lambda exponential has f'(0) < 0; every layout stops at a
+    # top-layer area residual within AREA_TOL
+    layout = build_ziggurat(
+        lambda x: rate * math.exp(-rate * x),
+        n_layers,
+        lambda r: math.exp(-rate * r),
+        lambda y: -math.log(y / rate) / rate,
+        lambda r, source: r - math.log1p(-source.next_unit()) / rate,
+    )
+    x1, f1 = layout.x[1], layout.f_at_x[1]
+    assert x1 * (rate - f1) - layout.layer_area <= AREA_TOL
 
 def test_base_block_branch_probability(zigg_layout):
     r, f_r = zigg_layout.x[-1], zigg_layout.f_at_x[-1]

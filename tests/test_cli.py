@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -434,6 +435,84 @@ def test_numpy_exp_matches_golden_values(monkeypatch, dist):
     )
 
 
+# math.log1p and math.exp at the arguments the half-normal tail sampler
+# gives them in the seed-42 half-normal-zigg sample_array(30000) run: -u
+# for the first 16 units it reads, and -x * x / 2 for the first 16 tail
+# points it returns, whose heights f(x) * u take math.exp; float.hex
+# (argument, value) pairs taken at commit f51c203. The tail points and
+# their heights rest on these; a host whose libm rounds one differently
+# fails here, with the function and the argument.
+GOLDEN_TAIL_MATH = {
+    "log1p": [
+        ('-0x1.dc28ea0cbbb16p-2', '-0x1.403ffd78f5878p-1'),
+        ('-0x1.bb6c0c4442bddp-1', '-0x1.01534588ad709p+1'),
+        ('-0x1.0675ffee121ccp-1', '-0x1.6ffaa5757de3cp-1'),
+        ('-0x1.25d16e2ed5cd5p-1', '-0x1.b4bbd1cc51f7dp-1'),
+        ('-0x1.65d19962be1f6p-2', '-0x1.b83a5510fd568p-2'),
+        ('-0x1.0a3ed9bfc5066p-2', '-0x1.3456ccb558ee0p-2'),
+        ('-0x1.de08303a051e0p-6', '-0x1.e524f65296ca6p-6'),
+        ('-0x1.733abf8c20688p-1', '-0x1.4a8baa3075507p+0'),
+        ('-0x1.a41621a33f798p-2', '-0x1.0e5b5b6202056p-1'),
+        ('-0x1.aac84a648ff25p-1', '-0x1.cb09ae40fdb9ap+0'),
+        ('-0x1.ff40584478c30p-4', '-0x1.110b66a4db563p-3'),
+        ('-0x1.d324f83ade8acp-2', '-0x1.37e496b20be6ap-1'),
+        ('-0x1.40b5ef5e836c0p-3', '-0x1.5ccbb28001fd0p-3'),
+        ('-0x1.b35e1784beeb1p-1', '-0x1.e638c8cf018c4p+0'),
+        ('-0x1.37d322d614ca1p-1', '-0x1.e0d5d47d55995p-1'),
+        ('-0x1.5a992c3d3a600p-4', '-0x1.6a2571a09de9cp-4'),
+    ],
+    "exp": [
+        ('-0x1.a456fda460413p+2', '0x1.704753371dd31p-10'),
+        ('-0x1.aaa4efd6877edp+2', '0x1.4dbae1b67fb59p-10'),
+        ('-0x1.9743f66a82488p+2', '0x1.c3bfad8c03602p-10'),
+        ('-0x1.7d2650c218b08p+2', '0x1.53b11417a4a40p-9'),
+        ('-0x1.9dccb6a5e9575p+2', '0x1.97e72e7ee2416p-10'),
+        ('-0x1.83d53521236dbp+2', '0x1.320241cf357ffp-9'),
+        ('-0x1.863afac8b5d09p+2', '0x1.26c1dd1e76e97p-9'),
+        ('-0x1.b9bcebd62b28bp+2', '0x1.079db0b0fc01ap-10'),
+        ('-0x1.ae183cbabb0cep+2', '0x1.3c36d7c903444p-10'),
+        ('-0x1.a907a9eb11ca5p+2', '0x1.5641511453716p-10'),
+        ('-0x1.e7d9980c6fb29p+2', '0x1.0080c7cda1149p-11'),
+        ('-0x1.b1e92a99ce6e3p+2', '0x1.29e9128bac69ap-10'),
+        ('-0x1.d9d30d55fce98p+2', '0x1.3f59c6a9b4ed5p-11'),
+        ('-0x1.b87e71c07cc27p+2', '0x1.0cca543d1e462p-10'),
+        ('-0x1.e99b02d67beccp+2', '0x1.f3201e1810bb7p-12'),
+        ('-0x1.a5ed0f4d01554p+2', '0x1.67436122a404dp-10'),
+    ],
+}
+
+
+def test_tail_log1p_and_exp_match_golden_values(monkeypatch):
+    for name, pairs in GOLDEN_TAIL_MATH.items():
+        for arg, value in pairs:
+            got = getattr(math, name)(float.fromhex(arg))
+            assert got == float.fromhex(value), (
+                f"math.{name}({float.fromhex(arg)!r}) = {got.hex()} but {value} was pinned; "
+                f"{RAN_ON}"
+            )
+    # the golden run still gives the tail sampler these units and returns
+    # these points; the sampler is wrapped before the cover takes it
+    units, points = [], []
+    tail_sampler = distributions.half_normal_tail_sampler
+
+    def recorded(r, source):
+        def next_unit():
+            units.append(source.next_unit())
+            return units[-1]
+
+        points.append(tail_sampler(r, SimpleNamespace(next_unit=next_unit)))
+        return points[-1]
+
+    monkeypatch.setattr(distributions, "half_normal_tail_sampler", recorded)
+    target = distributions.TARGETS["half-normal-zigg"]
+    PatternBlockSampler(target.density(), target.cover(), UniformSource(42)).sample_array(30000)
+    seen = {"log1p": [-u for u in units[:16]], "exp": [-0.5 * x * x for x in points[:16]]}
+    for name, pairs in GOLDEN_TAIL_MATH.items():
+        assert seen[name] == [float.fromhex(arg) for arg, _ in pairs], (
+            f"the golden run no longer passes math.{name} the pinned arguments; {RAN_ON}"
+        )
+
+
 def test_sample_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -519,6 +598,49 @@ def test_sample_rejection_cap_exit_code(capsys, monkeypatch):
     assert code == 3
     assert "rejections" in err
 
+
+@pytest.mark.parametrize("command", ["sample", "validate"])
+def test_cover_below_k_exits_three(capsys, monkeypatch, tmp_path, command):
+    # uniform on [0, 1], K = 1, over a cover of measure 0.5
+    from patternblocks.blocks1d import rect_block
+
+    small = distributions.Target(
+        density=lambda: Density(
+            dim=1, evaluate=lambda p: np.ones(len(p)), domain_bounds=((0.0, 1.0),), K=1.0
+        ),
+        cover=lambda: BlockSet([rect_block(0.0, 0.5, 0.0, 1.0)]),
+        probe_bounds=None,
+        bins=lambda: (np.linspace(0.0, 1.0, 5), np.full(4, 0.25)),
+    )
+    monkeypatch.setitem(distributions.TARGETS, "arcsine-mod", small)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, command, "--dist", "arcsine-mod", "--n", "100", "--out", str(out)
+    )
+    assert code == 3
+    assert err == (
+        "error: K = 1.0 exceeds the block set's measure 0.5; "
+        "a cover of the density's subgraph has at least K\n"
+    )
+    assert out.read_text() == ""
+
+
+def test_cover_of_another_dimension_exits_three(capsys, monkeypatch, tmp_path):
+    # a 1-d cover of measure 2 >= K under the 2-d mixture density
+    from patternblocks.blocks1d import rect_block
+
+    one_d = dataclasses.replace(
+        distributions.TARGETS["gauss-mix-2d"],
+        cover=lambda: BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)]),
+    )
+    monkeypatch.setitem(distributions.TARGETS, "gauss-mix-2d", one_d)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "validate", "--dist", "gauss-mix-2d", "--n", "2000", "--out", str(out)
+    )
+    assert code == 3
+    assert err == "error: block 0 ('rect'): its kernel returned 1 coordinates for a 2-d density\n"
+    assert out.read_text() == ""
 
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
