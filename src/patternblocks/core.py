@@ -273,27 +273,29 @@ class BlockSet:
                 return i
             i += step
 
-    def sample_blocks(self, blocks: np.ndarray, units: np.ndarray, source: UniformSource, dim: int):
+    def sample_blocks(
+        self, blocks: np.ndarray, units: np.ndarray, source: UniformSource, dim: int, reads: list
+    ):
         """Points (m, dim) and heights (m,) of m attempts, attempt k a
         sample of block blocks[k] on its slot units[k] (SLOT units, the
         first the selection unit) and then on the overflow stream of its
-        kind's first block; and for each kind that read that stream:
-        (stream, its position before the call, the kind's attempts, the
-        overflow units each attempt read)."""
+        kind's first block. Before a kind's kernel runs, reads gets
+        [stream, its position, the kind's attempts, used]; used becomes the
+        overflow units each attempt read, and stays None when none read any
+        or the kernel raises."""
         # the gathers go through take, and the scatters into 1-D arrays:
         # numpy's 2-D fancy indexing costs several times more
         kinds = self.kind_of.take(blocks)
         rows = self.row_of.take(blocks)
         columns = np.empty((dim, len(blocks)))
         heights = np.empty(len(blocks))
-        reads = []
         for kind, (sample, params, block) in enumerate(self.kinds):
             attempts = np.flatnonzero(kinds == kind)
             if not attempts.size:
                 continue
             stream = source.overflow(block)
-            mark = stream.draws_issued
-            coords, heights[attempts], used = sample(
+            reads.append([stream, stream.draws_issued, attempts, None])
+            coords, heights[attempts], reads[-1][3] = sample(
                 params.take(rows.take(attempts), 0), units.take(attempts, 0)[:, 1:], stream
             )
             if len(coords) != dim:
@@ -303,9 +305,7 @@ class BlockSet:
                 )
             for column, values in zip(columns, coords):
                 column[attempts] = values
-            if used is not None:
-                reads.append((stream, mark, attempts, used))
-        return columns.T, heights, reads
+        return columns.T, heights
 
 
 def exact_adoption_rate(density: Density, blockset: BlockSet) -> float:
@@ -347,15 +347,17 @@ def validate_blockset(
                   spaced heights y from 0 to f(x) - VALIDATE_TOLERANCE;
                   it fails when no grid point has a finite f(x) above
                   VALIDATE_TOLERANCE, as it then checks nothing;
-      overlap     Monte Carlo: uniform samples of each block must not land
-                  in any other block (pairwise intersections have measure
+      overlap     Monte Carlo, on every cover, one block included: uniform
+                  samples of each block must lie in its height band and in
+                  no other block (pairwise intersections have measure
                   zero, so interior double-hits indicate real overlap).
                   The samples are drawn as a sampling round draws them,
                   in slots of the OVERLAP_SEED stream.
 
     Cover and overlap ask the blocks' required membership tests on numpy
     arrays, once per block, so every check ends "pass" or "fail"; a
-    contains that cannot take arrays raises ValueError naming its block.
+    contains that cannot take arrays, or answers with other than a bool
+    array shaped as the heights, raises ValueError naming its block.
     probe_bounds replaces density.domain_bounds for the cover grid, with
     one (lo, hi) per axis, and must be given when the domain is unbounded.
     """
@@ -440,13 +442,11 @@ def _overlap_check(blockset, dim, n_probe):
     # about the samples its height band holds: it contains no height
     # outside it.
     blocks = blockset.blocks
-    if len(blocks) == 1:
-        return CheckResult("pass", "single block")
     per_block = max(100, n_probe // len(blocks))
     owner = np.repeat(np.arange(len(blocks)), per_block)
     source = UniformSource(OVERLAP_SEED)
     units = source.units(SLOT * len(owner)).reshape(len(owner), SLOT)
-    points, y, _ = blockset.sample_blocks(owner, units, source, dim)
+    points, y = blockset.sample_blocks(owner, units, source, dim, [])
     bands = blockset.bands[:, owner]
     outside = np.flatnonzero(~((bands[0] <= y) & (y <= bands[1])))
     if outside.size:
@@ -490,19 +490,19 @@ def _band_slices(blockset, y):
 
 
 def _contains(blocks, i, point, y):
-    """blocks[i].contains on probe arrays: a bool array shaped as y."""
+    """blocks[i].contains on probe arrays; it must return a bool array shaped as y."""
     try:
         inside = np.asarray(blocks[i].contains(point, y), bool)
     except (TypeError, ValueError) as error:
         raise ValueError(
             f"{_block_name(blocks, i)}: contains must take numpy arrays ({error})"
         ) from error
-    if inside.shape not in ((), y.shape):
+    if inside.shape != y.shape:
         raise ValueError(
             f"{_block_name(blocks, i)}: contains returned shape {inside.shape} "
             f"for {y.shape[0]} probes"
         )
-    return inside if inside.shape == y.shape else np.broadcast_to(inside, y.shape)
+    return inside
 
 
 def _block_name(blocks, i):
@@ -532,20 +532,20 @@ class PatternBlockSampler:
     construction; so does a kernel whose points have another dimension than
     the density's, at the first round that samples it. Attempts run in
     rounds of at most ROUND, each sized to the points still needed at the
-    exact adoption rate; after a round the streams are rewound to
-    just after the last attempt used, so the points depend only on the
-    seed, never on round or call sizes. attempts counts attempts through
-    the last accepted point and accepted counts returned samples, so
-    accepted / attempts estimates the adoption rate. The density is
-    evaluated once a round, on the round's points; an evaluate that does
-    not return one value per point raises DensityValueError. A rejected
-    attempt whose density value is NaN or negative raises DensityValueError
-    too; REJECTION_CAP consecutive rejections within one call raise
-    RejectionCapError. These two are raised at the first such attempt in
-    attempt order; an attempt that is both the cap-th rejection and a NaN
-    or negative value raises DensityValueError. empirical_rate is None
-    before the first attempt. One sampler per thread; the underlying source
-    must not be shared.
+    exact adoption rate; after a round the streams are rewound to just after
+    the last attempt used, so the points depend only on the seed, never on
+    round or call sizes; a round that raises before its bookkeeping books
+    nothing and rewinds them all. attempts counts attempts through the last
+    accepted point and accepted counts returned samples, so accepted /
+    attempts estimates the adoption rate. The density is evaluated once a
+    round, on the round's points; an evaluate that does not return one value
+    per point raises DensityValueError. A rejected attempt whose density
+    value is NaN or negative raises DensityValueError too; REJECTION_CAP
+    consecutive rejections within one call raise RejectionCapError. These
+    two are raised at the first such attempt in attempt order; an attempt
+    that is both the cap-th rejection and a NaN or negative value raises
+    DensityValueError. empirical_rate is None before the first attempt. One
+    sampler per thread; the underlying source must not be shared.
     """
 
     def __init__(self, density: Density, blockset: BlockSet, source: UniformSource):
@@ -568,7 +568,8 @@ class PatternBlockSampler:
     def sample_array(self, n: int) -> np.ndarray:
         """n accepted points as an (n, dim) float64 array. Each round books
         its attempts and acceptances before it raises or loops, so the
-        counters stay exact when an error stops the batch part way."""
+        counters stay exact when an error stops the batch part way; a raise
+        before its bookkeeping books nothing and rewinds every stream."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         cap = REJECTION_CAP
@@ -581,11 +582,16 @@ class PatternBlockSampler:
             # only rejections doubles the next one
             m = min(ROUND, max(streak, math.ceil(need / self._rate)))
             units = self.source.units(SLOT * m).reshape(m, SLOT)
-            blocks = self.blockset.select(units[:, 0])
-            points, heights, reads = self.blockset.sample_blocks(
-                blocks, units, self.source, self.density.dim
-            )
-            fx = _evaluate(self.density, points)
+            reads = []
+            try:
+                blocks = self.blockset.select(units[:, 0])
+                points, heights = self.blockset.sample_blocks(
+                    blocks, units, self.source, self.density.dim, reads
+                )
+                fx = _evaluate(self.density, points)
+            except BaseException:
+                self._rewind(m, -1, reads)  # a round that raises uses no attempt
+                raise
             hit = heights <= fx
             keep = np.flatnonzero(hit)
             # stop at the need-th acceptance, or at the first failing attempt
@@ -620,11 +626,12 @@ class PatternBlockSampler:
         return np.concatenate(kept)
 
     def _rewind(self, m: int, stop: int, reads):
-        """Rewind every stream to just after attempt stop of an m-attempt round."""
+        """Rewind every stream to just after attempt stop (-1: none) of an m-attempt round."""
         self.source.rewind(SLOT * (m - 1 - stop))
         for stream, mark, attempts, used in reads:
             k = int(np.searchsorted(attempts, stop, side="right"))
-            stream.rewind(stream.draws_issued - mark - int(np.sum(used[:k])))
+            spent = int(np.sum(used[:k])) if used is not None else 0
+            stream.rewind(stream.draws_issued - mark - spent)
 
     @property
     def empirical_rate(self) -> Optional[float]:

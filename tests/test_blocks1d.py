@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
+from patternblocks import blocks1d
 from patternblocks.blocks1d import (
     AREA_TOL,
     ZigguratError,
@@ -191,6 +192,17 @@ def test_build_ziggurat_bad_bracket():
     with pytest.raises(ZigguratError, match="upper end r = 20.0 overshoots"):
         build_ziggurat(
             half_normal_pdf, 128, lambda r: 10.0, half_normal_pdf_inv, half_normal_tail_sampler
+        )
+
+
+def test_build_ziggurat_gives_up_when_the_bracket_collapses(monkeypatch):
+    # no residual meets a negative tolerance: the bisection runs until the
+    # bracket collapses and names the last layout's residual
+    monkeypatch.setattr(blocks1d, "AREA_TOL", -1.0)
+    with pytest.raises(ZigguratError, match=r"^bisection did not converge; top-layer area"):
+        build_ziggurat(
+            half_normal_pdf, 128, half_normal_tail_mass, half_normal_pdf_inv,
+            half_normal_tail_sampler,
         )
 
 

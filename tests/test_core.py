@@ -583,8 +583,6 @@ def _reference_overlap(blockset, n_probe, tolerance=1e-12, seed=0):
     # main-stream units, skips the selection unit, then reads its block's
     # overflow stream; attempts run block by block
     blocks = blockset.blocks
-    if len(blocks) == 1:
-        return CheckResult("pass", "single block")
     source = UniformSource(seed)
     per_block = max(100, n_probe // len(blocks))
     hits = 0
@@ -751,13 +749,22 @@ def test_validate_rejects_a_pointwise_evaluate():
 
 
 def test_validate_names_a_contains_that_cannot_take_arrays():
-    scalar_only = PatternBlock(
-        1.0, lambda s: ((s.next_unit(),), s.next_unit()), lambda p, y: 0 <= y <= 1,
-        label="scalar",
-    )
-    blockset = BlockSet([rect_block(0.0, 1.0, 0.0, 0.5), scalar_only])
-    with pytest.raises(ValueError, match=r"^block 1 \('scalar'\): contains must take numpy arrays"):
-        validate_blockset(blockset, _uniform_density(), n_probe=1000)
+    def unit_square(label, contains):
+        return PatternBlock(1.0, lambda s: ((s.next_unit(),), s.next_unit()), contains, label=label)
+
+    for blocks, message in (
+        (
+            [rect_block(0.0, 1.0, 0.0, 0.5), unit_square("scalar", lambda p, y: 0 <= y <= 1)],
+            r"^block 1 \('scalar'\): contains must take numpy arrays",
+        ),
+        # one bool for all the probes is not spread over them
+        (
+            [unit_square("constant", lambda p, y: True)],
+            r"^block 0 \('constant'\): contains returned shape \(\) for 8000 probes$",
+        ),
+    ):
+        with pytest.raises(ValueError, match=message):
+            validate_blockset(BlockSet(blocks), _uniform_density(), n_probe=1000)
 
 
 def _flat(x1, x2):
@@ -818,15 +825,24 @@ def test_other_blocks_declare_height_bands(zigg_layout, zigg_blocks, mixture_blo
 
 def test_validate_flags_samples_outside_declared_band():
     # the upper block claims (0.5, 1) but samples the whole unit square
-    blocks = [
+    upper = [
         rect_block(0.0, 1.0, 0.0, 0.5, label="low"),
         dataclasses.replace(
             rect_block(0.0, 1.0, 0.0, 1.0, label="liar"), height_band=(0.5, 1.0)
         ),
     ]
-    report = validate_blockset(BlockSet(blocks), _uniform_density(), n_probe=1000)
-    assert report.overlap.status == "fail"
-    assert "block 1 ('liar') sampled height" in report.overlap.detail
+    # a lone block claims [0, 1], and its contains keeps to it, but it
+    # samples heights up to 2: one block is probed like many
+    lone = [
+        dataclasses.replace(
+            rect_block(0.0, 1.0, 0.0, 2.0, label="liar"),
+            height_band=(0.0, 1.0), contains=rect_block(0.0, 1.0, 0.0, 1.0).contains,
+        )
+    ]
+    for blocks, liar in ((upper, 1), (lone, 0)):
+        report = validate_blockset(BlockSet(blocks), _uniform_density(), n_probe=1000)
+        assert report.overlap.status == "fail"
+        assert f"block {liar} ('liar') sampled height" in report.overlap.detail
 
 
 def test_validate_flags_contains_outside_declared_band():

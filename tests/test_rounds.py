@@ -8,11 +8,14 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from patternblocks import blocks1d, core, distributions
+from patternblocks import blocks1d, blocks2d, core, distributions
 from patternblocks.blocks1d import rect_block
+from patternblocks.blocks2d import superlevel_block
 from patternblocks.core import (
     BlockSet,
+    CoverError,
     Density,
+    DensityValueError,
     PatternBlockSampler,
     RejectionCapError,
 )
@@ -78,6 +81,78 @@ def test_rejection_cap_counts_across_rounds(monkeypatch):
         sampler.sample_many(10)
     assert (sampler.accepted, sampler.attempts) == (5, 55)
     assert sampler.source.draws_issued == SLOT * 55
+
+
+def _needle_superlevel(monkeypatch):
+    # a superlevel block whose level a box proposal clears once in 1000,
+    # with an inner cap of 20 proposals: its kernel raises in the first round
+    monkeypatch.setattr(blocks2d, "INNER_CAP", 20)
+    block = superlevel_block(
+        ((0.0, 1.0), (0.0, 1.0)), lambda x1, x2: np.where(x1 < 1e-3, 1.0, 0.0), 0.5, 1.0,
+        area=1e-3,
+    )
+    density = Density(
+        dim=2, evaluate=lambda p: np.ones(len(p)), domain_bounds=((0.0, 1.0), (0.0, 1.0)),
+        K=block.measure,
+    )
+    return density, BlockSet([block]), RejectionCapError
+
+
+def _pointwise_evaluate(monkeypatch):
+    density = Density(
+        dim=1, evaluate=lambda p: 2.0 * p[0] if 0.0 <= p[0] <= 1.0 else 0.0,
+        domain_bounds=((0.0, 1.0),), K=1.0,
+    )
+    return density, BlockSet([rect_block(0.0, 1.0, 0.0, 2.0)]), DensityValueError
+
+
+def _cover_of_another_dimension(monkeypatch):
+    density = Density(
+        dim=2, evaluate=lambda p: np.ones(len(p)), domain_bounds=((0.0, 1.0), (0.0, 1.0)), K=1.0
+    )
+    return density, BlockSet([rect_block(0.0, 1.0, 0.0, 1.0)]), CoverError
+
+
+@pytest.mark.parametrize(
+    "case", [_needle_superlevel, _pointwise_evaluate, _cover_of_another_dimension]
+)
+def test_a_round_that_raises_books_nothing_and_rewinds_every_stream(monkeypatch, case):
+    # the error comes from a kernel, from evaluate's shape check and from
+    # sample_blocks' coordinate check, between a round's draw and its
+    # bookkeeping
+    density, cover, error = case(monkeypatch)
+    sampler = PatternBlockSampler(density, cover, UniformSource(19))
+    with pytest.raises(error):
+        sampler.sample_array(10)
+    assert (sampler.attempts, sampler.accepted) == (0, 0)
+    assert sampler.source.draws_issued == 0
+    assert _overflow_positions(sampler) == [0] * len(cover)
+
+
+def test_a_round_that_raises_can_be_retried(mixture_density, mixture_blocks):
+    # a density that raises on its first call, then works: the retry on the
+    # same sampler gives what a fresh sampler gives
+    calls = []
+
+    def flaky(points):
+        calls.append(len(points))
+        if len(calls) == 1:
+            raise RuntimeError("flaky density")
+        return mixture_density.evaluate(points)
+
+    sampler = PatternBlockSampler(
+        dataclasses.replace(mixture_density, evaluate=flaky), mixture_blocks, UniformSource(5)
+    )
+    with pytest.raises(RuntimeError, match="flaky density"):
+        sampler.sample_array(3000)
+    points = sampler.sample_array(3000)
+    fresh = PatternBlockSampler(mixture_density, mixture_blocks, UniformSource(5))
+    assert np.array_equal(points, fresh.sample_array(3000))
+    assert (sampler.attempts, sampler.accepted) == (fresh.attempts, fresh.accepted)
+    assert sampler.source.draws_issued == fresh.source.draws_issued
+    # the first round reads the superlevel's overflow stream before it raises
+    assert _overflow_positions(sampler) == _overflow_positions(fresh)
+    assert _overflow_positions(fresh)[1] > 0
 
 
 class _SlotThenOverflow:
